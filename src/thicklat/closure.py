@@ -5,6 +5,15 @@ every choice of two vertices whose component supports it contains, it also
 contains the support of the third vertex. Summand closure is built into
 component-wise membership and shift closure is automatic because
 indecomposables are shift orbits, so the triangle rule is the whole story.
+Tensor ideals add one more rule per element (absorption), run by the same
+engine.
+
+Closure is a worklist propagation over the presentation's ``rule_index``:
+only elements not already in a known closed subset are queued, and each
+queued element checks just the triangles that touch it. Enumeration is
+Close-by-One (Kuznetsov 1993) with FCbO's inherited-failure pruning (Krajca,
+Outrata & Vychodil 2010): every closed set is the closure of a closed parent
+plus one element, so each closure starts from a closed base.
 """
 
 from __future__ import annotations
@@ -28,59 +37,83 @@ def object_in(thick: int, expr: ObjectExpr) -> bool:
     return is_subset(mask_of(expr), thick)
 
 
-def thick_closure(pres: Presentation, members: int) -> int:
-    """Least superset of ``members`` closed under the two-out-of-three rule.
+def propagate(pres: Presentation, members: int, closed: int,
+              implied: tuple[int, ...]) -> int:
+    """Least superset of ``members`` closed under the triangle rule and
+    ``implied`` (the mask each element forces in by itself).
 
+    ``closed`` must be 0 or a subset of ``members`` that is already closed
+    under the same rules; its elements are trusted and never re-examined.
     The rule fires on any two contained vertices because rotating a stored
-    triangle is always permitted. Extensive, monotone, and idempotent.
+    triangle is always permitted.
     """
-    cur = members
-    full = pres.full_mask
-    tris = pres.triangle_masks
-    changed = True
-    while changed and cur != full:
-        changed = False
-        for ma, mb, mc in tris:
-            ina = ma & ~cur == 0
-            inb = mb & ~cur == 0
-            inc = mc & ~cur == 0
-            if ina and inb and not inc:
-                cur |= mc
-                changed = True
-            elif inb and inc and not ina:
-                cur |= ma
-                changed = True
-            elif inc and ina and not inb:
-                cur |= mb
-                changed = True
+    index = pres.rule_index
+    touching = index.touching
+    cur = members | index.forced
+    todo = cur & ~closed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        e = low.bit_length() - 1
+        add = implied[e]
+        missing = ~cur
+        for rest, p, q in touching[e]:
+            if rest & missing:
+                continue  # the vertex through e is not complete yet
+            if not p & missing:
+                add |= q
+            elif not q & missing:
+                add |= p
+        add &= missing
+        if add:
+            cur |= add
+            todo |= add
     return cur
 
 
-def iter_closed(n: int, close: Callable[[int], int]) -> Iterator[int]:
+def thick_closure(pres: Presentation, members: int, closed: int = 0) -> int:
+    """Least thick superset of ``members``; ``closed`` is a thick subset of
+    ``members`` (or 0) whose closure work is already done.
+
+    Extensive, monotone, and idempotent.
+    """
+    return propagate(pres, members, closed, pres.rule_index.implied)
+
+
+def iter_closed(n: int, close: Callable[[int, int], int]) -> Iterator[int]:
     """All fixed points of a closure operator on subsets of range(n).
 
-    Lectic-order enumeration: each closed set is produced exactly once and
-    only one working set is held in memory, so the cost is proportional to
-    the output rather than to 2**n.
+    ``close(members, closed)`` must return the closure of ``members`` given
+    that ``closed`` is 0 or a closed subset of ``members``; every call made
+    here passes the closed parent of the candidate. FCbO enumeration: each
+    closed set is the closure of a parent plus one element j that adds
+    nothing below j, so each is produced exactly once. A candidate that fails
+    that test is remembered for j, and descendants whose set misses one of
+    its elements below j skip the call, since their candidate would fail too.
     """
     full = (1 << n) - 1
-    current = close(0)
-    yield current
-    while current != full:
-        successor = None
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
-            if current & bit:
-                current &= ~bit
+    stack = [(close(0, 0), 0, (0,) * n)]
+    while stack:
+        parent, start, failed = stack.pop()
+        yield parent
+        inherited = failed
+        children = []
+        todo = full & ~parent & -(1 << start)
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            j = bit.bit_length() - 1
+            below = ~parent & (bit - 1)
+            if failed[j] & below:
+                continue  # an ancestor's candidate for j already failed here
+            child = close(parent | bit, parent)
+            if child & below:
+                if inherited is failed:
+                    inherited = list(failed)
+                inherited[j] = child
             else:
-                candidate = close(current | bit)
-                if not candidate & ~current & (bit - 1):
-                    successor = candidate
-                    break
-        if successor is None:  # unreachable: the full set ends the order
-            break
-        current = successor
-        yield current
+                children.append((child, j + 1))
+        stack.extend((child, nxt, inherited) for child, nxt in children)
 
 
 @dataclass(frozen=True)
@@ -117,8 +150,8 @@ class ThickLattice:
 
 
 def enumerate_thick(pres: Presentation) -> ThickLattice:
-    """All thick subsets via lectic enumeration, canonically ordered."""
-    found = iter_closed(pres.size, lambda m: thick_closure(pres, m))
+    """All thick subsets via FCbO enumeration, canonically ordered."""
+    found = iter_closed(pres.size, lambda m, c: thick_closure(pres, m, c))
     return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
 
 

@@ -23,7 +23,14 @@ def join(lattice: ThickLattice, j: int, k: int) -> int:
     """Closure of the union."""
     _position(lattice, j, "left operand")
     _position(lattice, k, "right operand")
-    return thick_closure(lattice.presentation, j | k)
+    return _join(lattice.presentation, j, k)
+
+
+def _join(pres, j: int, k: int) -> int:
+    """Closure of the union of two closed sets, propagating from the operand
+    that leaves fewer new elements to queue."""
+    base = j if (k & ~j).bit_count() <= (j & ~k).bit_count() else k
+    return thick_closure(pres, j | k, base)
 
 
 def _position(lattice: ThickLattice, mask: int, role: str) -> int:
@@ -72,7 +79,7 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
         key = (a, b) if a <= b else (b, a)
         got = memo.get(key)
         if got is None:
-            got = thick_closure(pres, a | b)
+            got = _join(pres, a, b)
             memo[key] = got
         return got
 

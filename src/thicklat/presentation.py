@@ -69,6 +69,24 @@ class TensorTable:
 
 
 @dataclass(frozen=True)
+class RuleIndex:
+    """Closure rules keyed by the element whose arrival can make them fire.
+
+    For every triangle vertex containing element e, ``touching[e]`` holds
+    (rest of that vertex without e, other vertex, other vertex): once the
+    vertex is complete, containing either other vertex forces the last one.
+    ``implied`` is the mask each element drags in by itself under the plain
+    triangle rule: all zero (for ideals, the tensor's absorption masks take
+    its place). ``forced`` is what degenerate triangles, with two or three
+    zero-object vertices, put into every closed set.
+    """
+
+    touching: tuple[tuple[tuple[int, int, int], ...], ...]
+    implied: tuple[int, ...]
+    forced: int
+
+
+@dataclass(frozen=True)
 class Presentation:
     """Immutable presentation: unique names, triangles, optional tensor."""
 
@@ -91,6 +109,18 @@ class Presentation:
     @cached_property
     def triangle_masks(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(t.masks() for t in self.triangles)
+
+    @cached_property
+    def rule_index(self) -> RuleIndex:
+        touching: list[list[tuple[int, int, int]]] = [[] for _ in self.names]
+        forced = 0
+        for ma, mb, mc in self.triangle_masks:
+            for vertex, p, q in ((ma, mb, mc), (mb, mc, ma), (mc, ma, mb)):
+                if not p and not q:
+                    forced |= vertex
+                for e in bits(vertex):
+                    touching[e].append((vertex & ~(1 << e), p, q))
+        return RuleIndex(tuple(map(tuple, touching)), (0,) * self.size, forced)
 
     def label(self, mask: int) -> str:
         """Brace-joined member names of a subset mask, in index order."""

@@ -14,8 +14,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, canonical_key, mask_of
-from .closure import iter_closed, thick_closure
+from .bitsets import canonical_key, mask_of
+from .closure import iter_closed, propagate
+from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import NoTensor
 from .presentation import ObjectExpr, Presentation, TensorTable
 from .space import (
@@ -35,26 +36,16 @@ def _tensor(pres: Presentation) -> TensorTable:
     return pres.tensor
 
 
-def ideal_closure(pres: Presentation, members: int) -> int:
-    """Least superset closed under the triangle rule and tensor absorption."""
-    table = _tensor(pres)
-    absorb = table.absorption_masks
-    cur = members
-    while True:
-        cur = thick_closure(pres, cur)
-        extra = 0
-        for x in bits(cur):
-            extra |= absorb[x]
-        if extra & ~cur:
-            cur |= extra
-        else:
-            return cur
+def ideal_closure(pres: Presentation, members: int, closed: int = 0) -> int:
+    """Least superset closed under the triangle rule and tensor absorption;
+    ``closed`` is an ideal contained in ``members`` (or 0)."""
+    return propagate(pres, members, closed, _tensor(pres).absorption_masks)
 
 
 def enumerate_ideals(pres: Presentation) -> tuple[int, ...]:
     """All absorption-closed thick subsets, canonical order."""
     _tensor(pres)
-    found = iter_closed(pres.size, lambda m: ideal_closure(pres, m))
+    found = iter_closed(pres.size, lambda m, c: ideal_closure(pres, m, c))
     return tuple(sorted(found, key=canonical_key))
 
 

@@ -2,7 +2,8 @@
 
 import random
 
-from thicklat.presentation import Presentation, Triangle, make_expr
+from thicklat.bitsets import canonical_key
+from thicklat.presentation import Presentation, TensorTable, Triangle, make_expr
 
 
 def random_presentation(seed, max_indecs=12, max_triangles=10):
@@ -17,6 +18,41 @@ def random_presentation(seed, max_indecs=12, max_triangles=10):
         )
         triangles.append(Triangle(*vertices))
     return Presentation(names, tuple(triangles))
+
+
+def random_tensor_presentation(seed, max_blocks=4, max_triangles=6):
+    """Deterministic random presentation with a tensor table.
+
+    Blocks are mutually orthogonal (cross-block products vanish). A
+    one-object block is an idempotent e with e*e = e. A two-object block
+    (a, b) has a*a = a and a*b = b*a = b, so absorption drags b into any
+    ideal holding a; b*b is b or zero. The unit sums every block's first
+    object. Triangles pick their components from all blocks at once.
+    """
+    rng = random.Random(seed)
+    blocks = []
+    n = 0
+    for _ in range(rng.randint(1, max_blocks)):
+        width = rng.randint(1, 2)
+        blocks.append(tuple(range(n, n + width)))
+        n += width
+    table = [[() for _ in range(n)] for _ in range(n)]
+    for block in blocks:
+        a = block[0]
+        table[a][a] = (a,)
+        if len(block) == 2:
+            b = block[1]
+            table[a][b] = table[b][a] = (b,)
+            table[b][b] = (b,) if rng.random() < 0.5 else ()
+    triangles = []
+    for _ in range(rng.randint(0, max_triangles)):
+        vertices = tuple(
+            make_expr(rng.choices(range(n), k=rng.randint(0, 2))) for _ in range(3)
+        )
+        triangles.append(Triangle(*vertices))
+    unit = make_expr(block[0] for block in blocks)
+    tensor = TensorTable(unit, tuple(tuple(row) for row in table))
+    return Presentation(tuple(f"g{i}" for i in range(n)), tuple(triangles), tensor)
 
 
 def bell_numbers(count):
@@ -43,11 +79,35 @@ def triangle_rule_closed(pres, subset):
     return True
 
 
-def closure_by_sweep(pres, subset):
+def absorption_closed(pres, subset):
+    """Direct reading of tensor absorption: x in the subset puts every
+    component of g*x in it, for every g."""
+    table = pres.tensor.table
+    for x in range(pres.size):
+        if subset >> x & 1:
+            for g in range(pres.size):
+                for c in table[g][x]:
+                    if not subset >> c & 1:
+                        return False
+    return True
+
+
+def ideal_rule_closed(pres, subset):
+    return triangle_rule_closed(pres, subset) and absorption_closed(pres, subset)
+
+
+def closed_by_sweep(pres, is_closed=triangle_rule_closed):
+    """Oracle enumeration: every subset passing ``is_closed``, canonical order
+    (n <= ~12)."""
+    found = (s for s in range(1 << pres.size) if is_closed(pres, s))
+    return tuple(sorted(found, key=canonical_key))
+
+
+def closure_by_sweep(pres, subset, is_closed=triangle_rule_closed):
     """Oracle closure: intersect every directly-closed superset (n <= ~12)."""
     n = pres.size
     result = (1 << n) - 1
     for candidate in range(1 << n):
-        if subset & ~candidate == 0 and triangle_rule_closed(pres, candidate):
+        if subset & ~candidate == 0 and is_closed(pres, candidate):
             result &= candidate
     return result

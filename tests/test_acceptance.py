@@ -226,13 +226,17 @@ GOLDEN_COMMANDS = (
     ("compare", "--builtin", "product:2", "--json"),
 )
 
+# the subprocesses run the same package this module imported
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(sys.modules["thicklat"].__file__))
+
 
 def test_criterion_8_determinism(capsys):
     def body():
         for argv in GOLDEN_COMMANDS:
             outputs = []
             for hashseed in ("0", "424242"):
-                env = dict(os.environ, PYTHONHASHSEED=hashseed)
+                path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+                env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
                 proc = subprocess.run(
                     [sys.executable, "-m", "thicklat", *argv],
                     capture_output=True, env=env, check=True)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bell_numbers, closure_by_sweep, random_presentation
+from conftest import bell_numbers, closed_by_sweep, closure_by_sweep, random_presentation
+from thicklat import closure
 from thicklat.bitsets import canonical_key, mask_of
 from thicklat.closure import (
     brute_force_thick,
@@ -101,10 +102,25 @@ def test_brute_force_guard():
         brute_force_thick(big)
 
 
-@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("seed", range(300))
 def test_enumerate_equals_brute_force_random(seed):
+    # the sweep reads the triangle rule directly, so a rule the engine fails
+    # to fire shows up here even though brute_force_thick would miss it
     pres = random_presentation(seed)
-    assert enumerate_thick(pres).elements == brute_force_thick(pres).elements
+    expected = closed_by_sweep(pres)
+    assert enumerate_thick(pres).elements == expected
+    assert brute_force_thick(pres).elements == expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_closure_from_closed_base_matches_sweep(seed):
+    pres = random_presentation(seed, max_indecs=9, max_triangles=8)
+    closed_sets = closed_by_sweep(pres)
+    rng = random.Random(seed + 2000)
+    for _ in range(10):
+        m = rng.randrange(1 << pres.size)
+        c = rng.choice([c for c in closed_sets if c & ~m == 0] or [0])
+        assert thick_closure(pres, m, c) == closure_by_sweep(pres, m)
 
 
 @pytest.mark.parametrize("family,n", [
@@ -145,8 +161,30 @@ def test_canonical_order_and_uniqueness():
 
 def test_iter_closed_yields_each_once():
     pres = builtin("an", 4)
-    seen = list(iter_closed(pres.size, lambda m: thick_closure(pres, m)))
+
+    def close(members, closed):
+        assert closed & ~members == 0  # the base lies inside the candidate
+        assert thick_closure(pres, closed) == closed  # and is closed
+        return thick_closure(pres, members, closed)
+
+    seen = list(iter_closed(pres.size, close))
     assert len(seen) == len(set(seen)) == 52
+
+
+@pytest.mark.parametrize("n,ceiling", [(6, 2_000), (7, 10_000)])
+def test_enumeration_closure_call_ceiling(monkeypatch, n, ceiling):
+    # a work gate that does not depend on the wall clock
+    calls = 0
+    original = closure.thick_closure
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(closure, "thick_closure", counted)
+    assert len(enumerate_thick(builtin("an", n))) == bell_numbers(n + 1)[-1]
+    assert calls <= ceiling
 
 
 def test_degenerate_triangles_are_legal():

@@ -3,6 +3,12 @@ import random
 
 import pytest
 
+from conftest import (
+    closed_by_sweep,
+    closure_by_sweep,
+    ideal_rule_closed,
+    random_tensor_presentation,
+)
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick, object_in, thick_closure
 from thicklat.errors import NoTensor
@@ -60,12 +66,25 @@ def test_enumerate_ideals_counts():
 
 
 def test_enumerate_ideals_brute_force():
-    from thicklat.bitsets import canonical_key
     for pres in TENSOR_BUILTINS:
-        expected = tuple(sorted(
-            (s for s in range(1 << pres.size) if ideal_closure(pres, s) == s),
-            key=canonical_key))
-        assert enumerate_ideals(pres) == expected
+        assert enumerate_ideals(pres) == closed_by_sweep(pres, ideal_rule_closed)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_enumerate_ideals_random_tensor_sweep(seed):
+    pres = random_tensor_presentation(seed)
+    assert enumerate_ideals(pres) == closed_by_sweep(pres, ideal_rule_closed)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ideal_closure_from_closed_base_matches_sweep(seed):
+    pres = random_tensor_presentation(seed)
+    ideals = closed_by_sweep(pres, ideal_rule_closed)
+    rng = random.Random(seed + 3000)
+    for _ in range(10):
+        m = rng.randrange(1 << pres.size)
+        c = rng.choice([q for q in ideals if q & ~m == 0] or [0])
+        assert ideal_closure(pres, m, c) == closure_by_sweep(pres, m, ideal_rule_closed)
 
 
 def test_primes_product2():
