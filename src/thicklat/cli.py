@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", nargs="?", const="-", metavar="PATH",
                    help="emit the Hasse diagram as DOT (to PATH, or stdout)")
     p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, metavar="COUNT",
-                   help="guard for the exhaustive law checks")
+                   help="largest lattice the law checks accept")
 
     p = sub.add_parser("space", help="universal support space summary")
     add_common(p)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
+from .bitsets import bits
 from .closure import ThickLattice, thick_closure
 from .errors import NotAnElement, TooLarge
 
@@ -14,9 +16,7 @@ def meet(lattice: ThickLattice, j: int, k: int) -> int:
     """Intersection; closure systems are intersection-closed, so this stays inside."""
     _position(lattice, j, "left operand")
     _position(lattice, k, "right operand")
-    result = j & k
-    assert result in lattice.position
-    return result
+    return j & k
 
 
 def join(lattice: ThickLattice, j: int, k: int) -> int:
@@ -64,15 +64,30 @@ class LatticeReport:
 
 
 def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeReport:
-    """Exhaustive law checks, first witness in canonical order on failure.
+    """Height, atoms and both laws, read from the Hasse diagram.
 
-    Deliberately the O(n^3) sweep: desk-scale lattices, auditable verdicts.
+    A finite lattice is modular iff it is upper and lower semimodular, and
+    that holds iff every two upper (lower) covers of an element have a common
+    upper (lower) cover. A modular lattice is distributive iff its height is
+    its number of join-irreducibles, the elements with one lower cover. A law
+    that fails gets its first witness in canonical (x, y, z) order, from a
+    sweep that skips the triples satisfying it by an identity.
     """
     n = len(lattice.elements)
     if n > max_size:
         raise TooLarge(f"lattice has {n} elements, guard is {max_size}")
     elems = lattice.elements
     pres = lattice.presentation
+    up = _upper_covers(lattice)
+    down: list[list[int]] = [[] for _ in range(n)]
+    heights = [0] * n
+    for lo, his in enumerate(up):
+        for hi in his:
+            down[hi].append(lo)
+            heights[hi] = max(heights[hi], heights[lo] + 1)
+    height = heights[-1]
+    modular = _semimodular(up) and _semimodular(down)
+    distributive = modular and sum(len(d) == 1 for d in down) == height
     memo: dict[tuple[int, int], int] = {}
 
     def jn(a: int, b: int) -> int:
@@ -83,23 +98,36 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
             memo[key] = got
         return got
 
-    dw = _first_distributive_witness(elems, jn)
-    mw = _first_modular_witness(elems, jn)
+    dw = None if distributive else _first_distributive_witness(elems, jn)
+    mw = None if modular else _first_modular_witness(elems, jn)
     return LatticeReport(
         size=n,
-        height=_height(elems),
-        atoms=_atoms(elems),
-        is_distributive=dw is None,
+        height=height,
+        atoms=tuple(elems[p] for p in up[0]),
+        is_distributive=distributive,
         distributive_witness=dw,
-        is_modular=mw is None,
+        is_modular=modular,
         modular_witness=mw,
     )
 
 
+def _semimodular(covers: list[list[int]]) -> bool:
+    """Every two covers of an element share a cover (upper covers: upper
+    semimodularity; lower covers: lower semimodularity)."""
+    cover_sets = [set(c) for c in covers]
+    return all(not cover_sets[a].isdisjoint(covers[b])
+               for c in covers for a, b in combinations(c, 2))
+
+
 def _first_distributive_witness(elems, jn) -> LawWitness | None:
+    # x <= y, x <= z, or y and z comparable satisfy the law identically
     for x in elems:
         for y in elems:
+            if x & ~y == 0:
+                continue
             for z in elems:
+                if x & ~z == 0 or y & ~z == 0 or z & ~y == 0:
+                    continue
                 lhs = x & jn(y, z)
                 rhs = jn(x & y, x & z)
                 if lhs != rhs:
@@ -108,11 +136,14 @@ def _first_distributive_witness(elems, jn) -> LawWitness | None:
 
 
 def _first_modular_witness(elems, jn) -> LawWitness | None:
+    # the law only constrains x <= z; y comparable to x or z satisfies it
     for x in elems:
         for y in elems:
+            if x & ~y == 0 or y & ~x == 0:
+                continue
             for z in elems:
-                if x & ~z:
-                    continue  # the law only constrains x <= z
+                if x & ~z or y & ~z == 0 or z & ~y == 0:
+                    continue
                 lhs = jn(x, y & z)
                 rhs = jn(x, y) & z
                 if lhs != rhs:
@@ -120,45 +151,30 @@ def _first_modular_witness(elems, jn) -> LawWitness | None:
     return None
 
 
-def _height(elems: tuple[int, ...]) -> int:
-    """Covering steps in a longest chain (a two-element chain has height 1)."""
-    heights: list[int] = []
-    best_overall = 0
-    for idx, e in enumerate(elems):
-        best = 0
-        for jdx in range(idx):
-            d = elems[jdx]
-            if d != e and d & ~e == 0 and heights[jdx] + 1 > best:
-                best = heights[jdx] + 1
-        heights.append(best)
-        if best > best_overall:
-            best_overall = best
-    return best_overall
+def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
+    """Positions of each element's upper covers, ascending: the minimal sets
+    among the closures of the element plus one more indecomposable.
 
-
-def _atoms(elems: tuple[int, ...]) -> tuple[int, ...]:
-    if len(elems) < 2:
-        return ()
+    Ascending position is ascending size, so a candidate is minimal unless
+    a cover already accepted lies inside it.
+    """
+    elems = lattice.elements
+    pres = lattice.presentation
     out = []
-    for idx in range(1, len(elems)):
-        e = elems[idx]
-        if not any(elems[m] & ~e == 0 for m in range(1, idx)):
-            out.append(e)
-    return tuple(out)
+    for e in elems:
+        found = {lattice.position[thick_closure(pres, e | 1 << i, e)]
+                 for i in bits(pres.full_mask & ~e)}
+        covers: list[int] = []
+        for p in sorted(found):
+            if not any(elems[q] & ~elems[p] == 0 for q in covers):
+                covers.append(p)
+        out.append(covers)
+    return out
 
 
 def covering_pairs(lattice: ThickLattice) -> list[tuple[int, int]]:
     """Hasse edges as (lower position, upper position) in canonical order."""
-    elems = lattice.elements
-    pairs: list[tuple[int, int]] = []
-    for i, e in enumerate(elems):
-        found: list[int] = []
-        for j in range(i + 1, len(elems)):
-            f = elems[j]
-            if e & ~f == 0 and not any(elems[k] & ~f == 0 for k in found):
-                found.append(j)
-                pairs.append((i, j))
-    return pairs
+    return [(lo, hi) for lo, his in enumerate(_upper_covers(lattice)) for hi in his]
 
 
 def export_dot(lattice: ThickLattice) -> str:

@@ -3,6 +3,8 @@
 import random
 
 from thicklat.bitsets import canonical_key
+from thicklat.closure import thick_closure
+from thicklat.lattice import LatticeReport, LawWitness
 from thicklat.presentation import Presentation, TensorTable, Triangle, make_expr
 
 
@@ -111,3 +113,52 @@ def closure_by_sweep(pres, subset, is_closed=triangle_rule_closed):
         if subset & ~candidate == 0 and is_closed(pres, candidate):
             result &= candidate
     return result
+
+
+def report_by_sweep(lattice):
+    """Oracle lattice report: the full canonical-order (x, y, z) sweep of
+    both laws, and height and atoms by pairwise comparison (n <= ~200)."""
+    elems = lattice.elements
+    memo = {}
+
+    def jn(a, b):
+        key = (a, b) if a <= b else (b, a)
+        if key not in memo:
+            memo[key] = thick_closure(lattice.presentation, a | b)
+        return memo[key]
+
+    def distributive_witness():
+        for x in elems:
+            for y in elems:
+                for z in elems:
+                    lhs, rhs = x & jn(y, z), jn(x & y, x & z)
+                    if lhs != rhs:
+                        return LawWitness(x, y, z, lhs, rhs)
+        return None
+
+    def modular_witness():
+        for x in elems:
+            for y in elems:
+                for z in elems:
+                    if x & ~z == 0:
+                        lhs, rhs = jn(x, y & z), jn(x, y) & z
+                        if lhs != rhs:
+                            return LawWitness(x, y, z, lhs, rhs)
+        return None
+
+    dw, mw = distributive_witness(), modular_witness()
+    heights = []
+    for i, e in enumerate(elems):
+        heights.append(max((heights[j] + 1 for j in range(i) if elems[j] & ~e == 0),
+                           default=0))
+    atoms = tuple(e for i, e in enumerate(elems[1:], 1)
+                  if not any(elems[m] & ~e == 0 for m in range(1, i)))
+    return LatticeReport(
+        size=len(elems),
+        height=max(heights),
+        atoms=atoms,
+        is_distributive=dw is None,
+        distributive_witness=dw,
+        is_modular=mw is None,
+        modular_witness=mw,
+    )
