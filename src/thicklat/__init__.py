@@ -1,14 +1,7 @@
 """Thick subcategory lattices, universal support spaces, and prime spectra
 for finite combinatorial presentations."""
 
-from .closure import (
-    ThickLattice,
-    brute_force_thick,
-    enumerate_thick,
-    iter_closed,
-    object_in,
-    thick_closure,
-)
+from .closure import ThickLattice, enumerate_thick, iter_closed, thick_closure
 from .errors import (
     InvalidParameter,
     NoTensor,

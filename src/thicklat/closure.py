@@ -22,19 +22,8 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import canonical_key, is_subset, mask_of
-from .errors import TooLarge
-from .presentation import ObjectExpr, Presentation
-
-BRUTE_FORCE_LIMIT = 20
-
-
-def object_in(thick: int, expr: ObjectExpr) -> bool:
-    """Membership of a formal sum: every component must lie in the subset.
-
-    The zero object (empty expression) belongs to every subset.
-    """
-    return is_subset(mask_of(expr), thick)
+from .bitsets import canonical_key
+from .presentation import Presentation
 
 
 def propagate(pres: Presentation, members: int, closed: int,
@@ -118,7 +107,8 @@ def iter_closed(n: int, close: Callable[[int, int], int]) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class ThickLattice:
-    """Every closed subset of a presentation, in canonical order.
+    """Closed subsets of a presentation in canonical order: all thick
+    subsets, all thick ideals, or the prime ideals.
 
     Canonical order sorts by cardinality with ties broken by the member
     sequence, so positions and serialized listings are byte-stable.
@@ -154,12 +144,3 @@ def enumerate_thick(pres: Presentation) -> ThickLattice:
     found = iter_closed(pres.size, lambda m, c: thick_closure(pres, m, c))
     return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
 
-
-def brute_force_thick(pres: Presentation) -> ThickLattice:
-    """Oracle enumeration: sweep every subset, keep the closure fixed points."""
-    n = pres.size
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(
-            f"{n} indecomposables exceed the brute-force guard of {BRUTE_FORCE_LIMIT}")
-    found = [s for s in range(1 << n) if thick_closure(pres, s) == s]
-    return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))

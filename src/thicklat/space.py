@@ -16,10 +16,8 @@ from functools import cached_property
 
 from .bitsets import bits
 from .closure import ThickLattice
-from .errors import InvalidParameter, NotThick, SchemaError, TooLarge, ValidationError
+from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
 from .presentation import ObjectExpr, Presentation
-
-DEFAULT_FAMILY_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,48 +73,29 @@ class FinSpace:
     def is_closed(self, mask: int) -> bool:
         return mask == 0 or self.closed_closure(mask) == mask
 
-    def closed_sets(self, limit: int = DEFAULT_FAMILY_LIMIT) -> frozenset[int]:
-        """Materialize the closed family (inspection and tests; can be large)."""
-        start = {0, self.full_mask, *self.generators}
-        members: list[int] = []
-        queue = list(start)
-        seen = set(start)
-        while queue:
-            w = queue.pop()
-            for v in members:
-                for u in (w | v, w & v):
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-                        if len(seen) > limit:
-                            raise TooLarge(f"closed family exceeds {limit} sets")
-            members.append(w)
-        return frozenset(seen)
-
     def point_labels(self, mask: int) -> list[str]:
         return [self.points[i] for i in bits(mask)]
 
 
 @dataclass(frozen=True)
 class SupportSpace:
-    """The space of all thick subsets with its canonical supports."""
+    """Closed subsets as points, each indecomposable supported on the points
+    that omit it.
+
+    Over every thick subset this is the universal support space; over the
+    prime ideals it is the prime spectrum.
+    """
 
     lattice: ThickLattice
     space: FinSpace
     sup: tuple[int, ...]
-
-    def sup_of(self, expr: ObjectExpr) -> int:
-        m = 0
-        for i in set(expr):
-            m |= self.sup[i]
-        return m
 
     def as_datum(self) -> SupportDatum:
         return SupportDatum(self.space, self.sup)
 
 
 def build_sp(lattice: ThickLattice) -> SupportSpace:
-    """Universal support space: one point per thick subset, supports by omission."""
+    """One point per element of ``lattice``, supports by omission."""
     pres = lattice.presentation
     sup = []
     for a in range(pres.size):
@@ -146,6 +125,7 @@ class SupportDatum:
     origin_map: tuple[int, ...] | None = None
 
     def sigma_of(self, expr: ObjectExpr) -> int:
+        """Support of a formal sum: the union over its components."""
         m = 0
         for i in set(expr):
             m |= self.sigma[i]
@@ -222,6 +202,9 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
 
     That set must be a thick subset, i.e. a point of the universal space;
     when it is not, the datum violated an axiom and NotThick is raised.
+    The pullback identity holds by construction: x lies in the preimage of
+    sup(a) exactly when a is missing from the image of x, i.e. when x lies
+    in sigma(a).
     """
     pres = sp.lattice.presentation
     position = sp.lattice.position
@@ -238,11 +221,7 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
                 f"point {datum.space.points[x]!r} maps to {pres.label(image)}, "
                 "which is not closed under the triangle rule")
         mapping.append(pos)
-    morphism = SupportMorphism(tuple(mapping))
-    for a in range(pres.size):
-        # the pullback identity must come out set-exact for every generator
-        assert preimage(morphism, sp.sup[a]) == sigma[a]
-    return morphism
+    return SupportMorphism(tuple(mapping))
 
 
 @dataclass(frozen=True)
@@ -289,14 +268,7 @@ def random_support_datum(sp: SupportSpace, num_points: int, seed: int) -> Suppor
     rng = random.Random(seed)
     count = len(sp.lattice.elements)
     origin = tuple(rng.randrange(count) for _ in range(num_points))
-    sigma = []
-    for a in range(len(sp.sup)):
-        sup_a = sp.sup[a]
-        m = 0
-        for x, target in enumerate(origin):
-            if (sup_a >> target) & 1:
-                m |= 1 << x
-        sigma.append(m)
+    sigma = [preimage(SupportMorphism(origin), sup_a) for sup_a in sp.sup]
     points = tuple(f"x{i}" for i in range(num_points))
     space = FinSpace.generate(points, sigma)
     return SupportDatum(space, tuple(sigma), origin_map=origin)

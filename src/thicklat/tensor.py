@@ -2,31 +2,27 @@
 
 With a tensor table present, subsets can additionally be closed under
 absorption (multiplying by anything stays inside). Proper absorption-closed
-subsets where a vanishing product forces a vanishing factor are the primes;
-their supports satisfy the two tensor axioms on top of the base four, and
-the finality of the universal space yields a canonical comparison map that
-fixes each prime.
+subsets where a vanishing product forces a vanishing factor are the primes.
+The prime spectrum is the universal construction restricted to the primes,
+so its supports satisfy the two tensor axioms on top of the base four, and
+the canonical comparison map into the universal space is the inclusion.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bitsets import canonical_key, mask_of
-from .closure import iter_closed, propagate
+from .closure import ThickLattice, iter_closed, propagate
 from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import NoTensor
-from .presentation import ObjectExpr, Presentation, TensorTable
+from .presentation import Presentation, TensorTable
 from .space import (
     DatumReport,
-    FinSpace,
-    SupportDatum,
     SupportMorphism,
     SupportSpace,
+    build_sp,
     check_support_datum,
-    universal_morphism,
 )
 
 
@@ -42,57 +38,25 @@ def ideal_closure(pres: Presentation, members: int, closed: int = 0) -> int:
     return propagate(pres, members, closed, _tensor(pres).absorption_masks)
 
 
-def enumerate_ideals(pres: Presentation) -> tuple[int, ...]:
+def enumerate_ideals(pres: Presentation) -> ThickLattice:
     """All absorption-closed thick subsets, canonical order."""
     _tensor(pres)
     found = iter_closed(pres.size, lambda m, c: ideal_closure(pres, m, c))
-    return tuple(sorted(found, key=canonical_key))
+    return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Prime ideals in canonical order with their supports.
+class Spectrum(SupportSpace):
+    """The support space on the prime ideals, whose points it names
+    ``primes``: each indecomposable is supported on the primes that miss it."""
 
-    supp assigns each indecomposable the set of primes that miss it, and
-    extends to objects by union over components.
-    """
-
-    presentation: Presentation
-    primes: tuple[int, ...]
-    supp: tuple[int, ...]
-
-    @classmethod
-    def from_primes(cls, pres: Presentation, prime_sets: Iterable[int]) -> Spectrum:
-        ordered = tuple(sorted(prime_sets, key=canonical_key))
-        supp = []
-        for a in range(pres.size):
-            bit = 1 << a
-            m = 0
-            for pos, q in enumerate(ordered):
-                if not q & bit:
-                    m |= 1 << pos
-            supp.append(m)
-        return cls(pres, ordered, tuple(supp))
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.presentation.label(q) for q in self.primes)
-
-    def supp_of(self, expr: ObjectExpr) -> int:
-        m = 0
-        for i in set(expr):
-            m |= self.supp[i]
-        return m
-
-    @cached_property
-    def prime_space(self) -> FinSpace:
-        return FinSpace.generate(self.labels(), self.supp)
-
-    def as_datum(self) -> SupportDatum:
-        return SupportDatum(self.prime_space, self.supp)
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return self.lattice.elements
 
 
 def primes(pres: Presentation) -> Spectrum:
-    """Proper ideals where a vanishing product forces a vanishing factor.
+    """Proper ideals where a vanishing product forces a vanishing factor,
+    as the support space on them.
 
     Primality is decided on pairs of indecomposables; the object-level
     condition follows because membership is component-determined.
@@ -101,11 +65,11 @@ def primes(pres: Presentation) -> Spectrum:
     n = pres.size
     full = pres.full_mask
     product_masks = [[mask_of(table.table[x][y]) for y in range(n)] for x in range(n)]
-    found = []
-    for q in enumerate_ideals(pres):
-        if q != full and _is_prime(q, n, product_masks):
-            found.append(q)
-    return Spectrum.from_primes(pres, found)
+    # a subsequence of the ideals, so still in canonical order
+    found = tuple(q for q in enumerate_ideals(pres).elements
+                  if q != full and _is_prime(q, n, product_masks))
+    sp = build_sp(ThickLattice(pres, found))
+    return Spectrum(sp.lattice, sp.space, sp.sup)
 
 
 def _is_prime(q: int, n: int, product_masks: list[list[int]]) -> bool:
@@ -131,17 +95,18 @@ class TtReport:
         return self.support_report.valid and self.unit_full and not self.product_violations
 
 
-def verify_tt_support(spectrum: Spectrum, pres: Presentation) -> TtReport:
+def verify_tt_support(spectrum: SupportSpace, pres: Presentation) -> TtReport:
     """Check the unit covers everything and supports turn products into
     intersections, re-running the base axiom checks along the way."""
     table = _tensor(pres)
-    base = check_support_datum(spectrum.as_datum(), pres)
-    everything = (1 << len(spectrum.primes)) - 1
-    unit_full = spectrum.supp_of(table.unit) == everything
+    datum = spectrum.as_datum()
+    base = check_support_datum(datum, pres)
+    unit_full = datum.sigma_of(table.unit) == datum.space.full_mask
+    sigma = datum.sigma
     bad_pairs = []
     for x in range(pres.size):
         for y in range(x, pres.size):
-            if spectrum.supp_of(table.table[x][y]) != spectrum.supp[x] & spectrum.supp[y]:
+            if datum.sigma_of(table.table[x][y]) != sigma[x] & sigma[y]:
                 bad_pairs.append((x, y))
     return TtReport(base, unit_full, tuple(bad_pairs))
 
@@ -150,24 +115,18 @@ def verify_tt_support(spectrum: Spectrum, pres: Presentation) -> TtReport:
 class CompressionReport:
     spectrum_points: int
     universal_points: int
-    injective: bool
 
 
 def comparison_map(spectrum: Spectrum,
-                   sp: SupportSpace) -> tuple[SupportMorphism, CompressionReport]:
-    """Canonical morphism from the prime spectrum into the universal space.
+                   lattice: ThickLattice) -> tuple[SupportMorphism, CompressionReport]:
+    """Canonical morphism from the prime spectrum into the universal space
+    over ``lattice``, with both sizes side by side.
 
-    Every prime is itself a thick subset, so the map must fix primes; the
-    sizes side by side show how much smaller the spectrum is.
+    The universal morphism sends a point to the objects whose support avoids
+    it, and at the prime q those are exactly the members of q. So the map is
+    the inclusion of the primes among the thick subsets: it fixes every
+    prime and is injective.
     """
-    morphism = universal_morphism(spectrum.as_datum(), sp)
-    position = sp.lattice.position
-    for idx, q in enumerate(spectrum.primes):
-        assert morphism.mapping[idx] == position[q]
-    injective = len(set(morphism.mapping)) == len(morphism.mapping)
-    report = CompressionReport(
-        spectrum_points=len(spectrum.primes),
-        universal_points=len(sp.lattice.elements),
-        injective=injective,
-    )
-    return morphism, report
+    position = lattice.position
+    morphism = SupportMorphism(tuple(position[q] for q in spectrum.primes))
+    return morphism, CompressionReport(len(spectrum.primes), len(lattice.elements))

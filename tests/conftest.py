@@ -2,10 +2,52 @@
 
 import random
 
-from thicklat.bitsets import canonical_key
-from thicklat.closure import thick_closure
+from thicklat.bitsets import canonical_key, is_subset, mask_of
+from thicklat.closure import ThickLattice, thick_closure
+from thicklat.errors import TooLarge
 from thicklat.lattice import LatticeReport, LawWitness
 from thicklat.presentation import Presentation, TensorTable, Triangle, make_expr
+
+BRUTE_FORCE_LIMIT = 20
+DEFAULT_FAMILY_LIMIT = 1 << 16
+
+
+def object_in(thick, expr):
+    """Membership of a formal sum: every component must lie in the subset.
+
+    The zero object (empty expression) belongs to every subset.
+    """
+    return is_subset(mask_of(expr), thick)
+
+
+def brute_force_thick(pres):
+    """Oracle enumeration: sweep every subset, keep the closure fixed points."""
+    n = pres.size
+    if n > BRUTE_FORCE_LIMIT:
+        raise TooLarge(
+            f"{n} indecomposables exceed the brute-force guard of {BRUTE_FORCE_LIMIT}")
+    found = [s for s in range(1 << n) if thick_closure(pres, s) == s]
+    return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
+
+
+def closed_sets(space, limit=DEFAULT_FAMILY_LIMIT):
+    """Materialize the closed family of a ``FinSpace``: the generators, the
+    empty set and the whole space, closed under union and intersection."""
+    start = {0, space.full_mask, *space.generators}
+    members = []
+    queue = list(start)
+    seen = set(start)
+    while queue:
+        w = queue.pop()
+        for v in members:
+            for u in (w | v, w & v):
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+                    if len(seen) > limit:
+                        raise TooLarge(f"closed family exceeds {limit} sets")
+        members.append(w)
+    return frozenset(seen)
 
 
 def random_presentation(seed, max_indecs=12, max_triangles=10):

@@ -3,16 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bell_numbers, closed_by_sweep, closure_by_sweep, random_presentation
+from conftest import (
+    bell_numbers,
+    brute_force_thick,
+    closed_by_sweep,
+    closure_by_sweep,
+    object_in,
+    random_presentation,
+)
 from thicklat import closure
 from thicklat.bitsets import canonical_key, mask_of
-from thicklat.closure import (
-    brute_force_thick,
-    enumerate_thick,
-    iter_closed,
-    object_in,
-    thick_closure,
-)
+from thicklat.closure import enumerate_thick, iter_closed, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.presentation import Presentation, Triangle, builtin
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import closed_sets
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick
 from thicklat.errors import InvalidParameter, NotThick, ValidationError
@@ -45,7 +46,7 @@ def random_finspace(seed, max_points=12, max_generators=5):
 @pytest.mark.parametrize("seed", range(40))
 def test_finspace_family_invariants(seed):
     space = random_finspace(seed)
-    family = space.closed_sets()
+    family = closed_sets(space)
     assert 0 in family
     assert space.full_mask in family
     for u in family:
@@ -59,7 +60,7 @@ def test_finspace_family_invariants(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_finspace_is_closed_matches_materialized_family(seed):
     space = random_finspace(seed, max_points=8)
-    family = space.closed_sets()
+    family = closed_sets(space)
     for mask in range(1 << len(space.points)):
         assert space.is_closed(mask) == (mask in family)
 
@@ -67,7 +68,7 @@ def test_finspace_is_closed_matches_materialized_family(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_finspace_closure_is_smallest_closed_superset(seed):
     space = random_finspace(seed, max_points=8)
-    family = space.closed_sets()
+    family = closed_sets(space)
     for mask in range(1 << len(space.points)):
         closed = space.closed_closure(mask)
         assert mask & ~closed == 0
@@ -85,7 +86,7 @@ def test_finspace_no_generators():
     assert space.is_closed(0)
     assert space.is_closed(0b11)
     assert not space.is_closed(0b01)
-    assert space.closed_sets() == frozenset({0, 0b11})
+    assert closed_sets(space) == frozenset({0, 0b11})
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_build_sp_a2():
     assert len(A2_SP.space.points) == 5
     assert A2_SP.sup[0] == positions_of(A2_SP, "{}", "{P2}", "{S2}")
     assert A2_SP.sup[0].bit_count() == 3
-    assert A2_SP.sup_of(()) == 0  # the zero object is supported nowhere
+    assert A2_SP.as_datum().sigma_of(()) == 0  # the zero object is supported nowhere
 
 
 def test_build_sp_point():
@@ -115,16 +116,17 @@ def test_sup_union_compatible_over_objects():
     rng = random.Random(3)
     for pres in (A2, builtin("an", 3), builtin("product", 3)):
         sp = build_sp(enumerate_thick(pres))
+        sup_of = sp.as_datum().sigma_of
         for _ in range(50):
             x = make_expr(rng.choices(range(pres.size), k=rng.randint(0, 3)))
             y = make_expr(rng.choices(range(pres.size), k=rng.randint(0, 3)))
-            assert sp.sup_of(make_expr(x + y)) == sp.sup_of(x) | sp.sup_of(y)
+            assert sup_of(make_expr(x + y)) == sup_of(x) | sup_of(y)
             # and sup really is the omission set, object-wise
             direct = 0
             for pos, elem in enumerate(sp.lattice.elements):
                 if mask_of(x) & ~elem:
                     direct |= 1 << pos
-            assert direct == sp.sup_of(x)
+            assert direct == sup_of(x)
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +297,52 @@ def test_uniqueness_mutations_fail(family, n):
                     mutated = list(f.mapping)
                     mutated[x] = alt
                     assert not check_morphism(datum, sp, SupportMorphism(tuple(mutated))).ok
+
+
+# --------------------------------------------------------------------------
+# the pullback identity, which universal_morphism meets by construction
+
+
+def assert_pullback_identity(datum, sp):
+    f = universal_morphism(datum, sp)
+    for a, sigma_a in enumerate(datum.sigma):
+        assert preimage(f, sp.sup[a]) == sigma_a
+
+
+@pytest.mark.parametrize("family,n", [
+    ("a2", None), ("point", None), ("an", 3), ("an", 4), ("product", 3),
+])
+def test_pullback_identity_on_random_data(family, n):
+    sp = build_sp(enumerate_thick(builtin(family, n)))
+    for seed in range(60):
+        assert_pullback_identity(random_support_datum(sp, seed % 7, seed), sp)
+
+
+@pytest.mark.parametrize("family,n", [("a2", None), ("an", 3), ("product", 2)])
+def test_pullback_identity_on_parsed_documents(family, n):
+    # arbitrary supports and closed sets: whenever the universal morphism
+    # exists it pulls sup back to sigma, even for a datum that check rejects
+    pres = builtin(family, n)
+    sp = build_sp(enumerate_thick(pres))
+    rng = random.Random(11)
+    mapped = rejected = 0
+    for _ in range(300):
+        points = [f"p{i}" for i in range(rng.randint(0, 4))]
+
+        def some_points():
+            return rng.sample(points, rng.randint(0, len(points)))
+
+        doc = {"points": points, "sigma": {name: some_points() for name in pres.names}}
+        if rng.random() < 0.5:
+            doc["closed"] = [some_points() for _ in range(rng.randint(0, 3))]
+        datum = datum_from_document(doc, pres)
+        try:
+            assert_pullback_identity(datum, sp)
+        except NotThick:
+            continue
+        mapped += 1
+        rejected += not check_support_datum(datum, pres).valid
+    assert mapped >= 50 and rejected > 0
 
 
 # --------------------------------------------------------------------------

@@ -7,15 +7,15 @@ from conftest import (
     closed_by_sweep,
     closure_by_sweep,
     ideal_rule_closed,
+    object_in,
     random_tensor_presentation,
 )
-from thicklat.bitsets import mask_of
-from thicklat.closure import enumerate_thick, object_in, thick_closure
+from thicklat.bitsets import canonical_key, mask_of
+from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
 from thicklat.errors import NoTensor
 from thicklat.presentation import builtin, make_expr, parse_presentation
-from thicklat.space import build_sp, check_support_datum
+from thicklat.space import build_sp, check_support_datum, universal_morphism
 from thicklat.tensor import (
-    Spectrum,
     comparison_map,
     enumerate_ideals,
     ideal_closure,
@@ -67,13 +67,13 @@ def test_enumerate_ideals_counts():
 
 def test_enumerate_ideals_brute_force():
     for pres in TENSOR_BUILTINS:
-        assert enumerate_ideals(pres) == closed_by_sweep(pres, ideal_rule_closed)
+        assert enumerate_ideals(pres).elements == closed_by_sweep(pres, ideal_rule_closed)
 
 
 @pytest.mark.parametrize("seed", range(120))
 def test_enumerate_ideals_random_tensor_sweep(seed):
     pres = random_tensor_presentation(seed)
-    assert enumerate_ideals(pres) == closed_by_sweep(pres, ideal_rule_closed)
+    assert enumerate_ideals(pres).elements == closed_by_sweep(pres, ideal_rule_closed)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -89,15 +89,15 @@ def test_ideal_closure_from_closed_base_matches_sweep(seed):
 
 def test_primes_product2():
     spectrum = primes(PRODUCT2)
-    assert spectrum.labels() == ("{e1}", "{e2}")
-    assert spectrum.prime_space.point_labels(spectrum.supp[0]) == ["{e2}"]
+    assert spectrum.space.points == ("{e1}", "{e2}")
+    assert spectrum.space.point_labels(spectrum.sup[0]) == ["{e2}"]
     assert 0 not in spectrum.primes  # the zero ideal fails primality: e1*e2 = 0
 
 
 def test_primes_point():
     spectrum = primes(POINT)
     assert spectrum.primes == (0,)
-    assert spectrum.supp[0] == 0b1
+    assert spectrum.sup[0] == 0b1
 
 
 def test_primes_product3_are_coatoms():
@@ -143,8 +143,8 @@ def test_supp_turns_products_into_intersections():
         spectrum = primes(pres)
         for x in range(pres.size):
             for y in range(pres.size):
-                got = spectrum.supp_of(pres.tensor.product(x, y))
-                assert got == spectrum.supp[x] & spectrum.supp[y]
+                got = spectrum.as_datum().sigma_of(pres.tensor.product(x, y))
+                assert got == spectrum.sup[x] & spectrum.sup[y]
 
 
 def test_verify_tt_support_valid():
@@ -158,7 +158,8 @@ def test_verify_tt_support_valid():
 
 def test_verify_tt_support_tampered_spectrum():
     genuine = primes(PRODUCT2)
-    tampered = Spectrum.from_primes(PRODUCT2, genuine.primes + (0,))
+    tampered_primes = tuple(sorted(genuine.primes + (0,), key=canonical_key))
+    tampered = build_sp(ThickLattice(PRODUCT2, tampered_primes))
     report = verify_tt_support(tampered, PRODUCT2)
     assert not report.valid
     assert (0, 1) in report.product_violations  # pair (e1, e2)
@@ -167,11 +168,11 @@ def test_verify_tt_support_tampered_spectrum():
 def test_comparison_map_counts():
     for pres, spc, sp_count in ((PRODUCT2, 2, 4), (PRODUCT3, 3, 8), (POINT, 1, 2)):
         spectrum = primes(pres)
-        sp = build_sp(enumerate_thick(pres))
-        morphism, report = comparison_map(spectrum, sp)
+        lattice = enumerate_thick(pres)
+        morphism, report = comparison_map(spectrum, lattice)
         assert (report.spectrum_points, report.universal_points) == (spc, sp_count)
-        assert report.injective
-        position = sp.lattice.position
+        assert len(set(morphism.mapping)) == len(morphism.mapping)  # injective
+        position = lattice.position
         assert morphism.mapping == tuple(position[q] for q in spectrum.primes)
 
 
@@ -180,6 +181,23 @@ def test_comparison_map_pullback():
     for pres in TENSOR_BUILTINS:
         spectrum = primes(pres)
         sp = build_sp(enumerate_thick(pres))
-        morphism, _ = comparison_map(spectrum, sp)
+        morphism, _ = comparison_map(spectrum, sp.lattice)
         for a in range(pres.size):
-            assert preimage(morphism, sp.sup[a]) == spectrum.supp[a]
+            assert preimage(morphism, sp.sup[a]) == spectrum.sup[a]
+
+
+def assert_comparison_is_universal(pres):
+    spectrum = primes(pres)
+    lattice = enumerate_thick(pres)
+    inclusion, _ = comparison_map(spectrum, lattice)
+    assert universal_morphism(spectrum.as_datum(), build_sp(lattice)) == inclusion
+
+
+@pytest.mark.parametrize("family,n", [("point", None)] + [("product", k) for k in range(1, 7)])
+def test_comparison_map_is_the_universal_morphism_on_builtins(family, n):
+    assert_comparison_is_universal(builtin(family, n))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_comparison_map_is_the_universal_morphism_random(seed):
+    assert_comparison_is_universal(random_tensor_presentation(seed))
