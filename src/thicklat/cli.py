@@ -2,6 +2,11 @@
 
 Exit statuses: 0 success or checked-valid, 1 checked-invalid (an axiom or
 morphism check said no), 2 usage or input errors.
+
+``main`` loads the presentation and hands it to one handler per subcommand.
+A handler builds only the output that was asked for and returns it with the
+exit status: a JSON document as a ``dict``, text as a list of lines, or a
+``str`` written as it is. ``main`` renders and writes it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .presentation import Presentation, builtin, parse_presentation
 from .space import (
     ROTATIONS,
     DatumReport,
-    MorphismReport,
     SupportSpace,
     build_sp,
     check_morphism,
@@ -27,6 +31,7 @@ from .space import (
     datum_from_document,
     datum_to_document,
     morphism_from_document,
+    morphism_to_document,
     random_support_datum,
     universal_morphism,
 )
@@ -36,54 +41,44 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_ERROR = 2
 
+# a JSON document, text lines, or text written as it is; and the exit status
+Output = tuple[dict | list[str] | tuple[str, ...] | str, int]
+
+SUBCOMMANDS = (
+    ("enumerate", "list every thick subcategory"),
+    ("lattice", "order-theoretic report, optionally DOT"),
+    ("space", "universal support space summary"),
+    ("check", "verify a support datum"),
+    ("map", "universal morphism from a support datum"),
+    ("spectrum", "prime tensor ideals and their supports"),
+    ("compare", "prime spectrum versus universal space"),
+    ("generate", "seeded random support datum document"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--builtin", metavar="FAMILY[:N]",
+                        help="use a builtin presentation (a2, an:N, point, product:N)")
+    common.add_argument("--input", metavar="PATH", help="read a presentation document")
+    common.add_argument("--json", action="store_true", help="emit a JSON document")
+
     parser = argparse.ArgumentParser(
         prog="thicklat",
         description="Thick subcategory lattices, support spaces, and prime spectra "
                     "of finite presentations.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--builtin", metavar="FAMILY[:N]",
-                       help="use a builtin presentation (a2, an:N, point, product:N)")
-        p.add_argument("--input", metavar="PATH", help="read a presentation document")
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-
-    p = sub.add_parser("enumerate", help="list every thick subcategory")
-    add_common(p)
-
-    p = sub.add_parser("lattice", help="order-theoretic report, optionally DOT")
-    add_common(p)
-    p.add_argument("--dot", nargs="?", const="-", metavar="PATH",
-                   help="emit the Hasse diagram as DOT (to PATH, or stdout)")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, metavar="COUNT",
-                   help="largest lattice the law checks accept")
-
-    p = sub.add_parser("space", help="universal support space summary")
-    add_common(p)
-
-    p = sub.add_parser("check", help="verify a support datum")
-    add_common(p)
-    p.add_argument("--datum", required=True, metavar="PATH")
-
-    p = sub.add_parser("map", help="universal morphism from a support datum")
-    add_common(p)
-    p.add_argument("--datum", required=True, metavar="PATH")
-    p.add_argument("--morphism", metavar="PATH",
-                   help="check this morphism instead of computing the canonical one")
-
-    p = sub.add_parser("spectrum", help="prime tensor ideals and their supports")
-    add_common(p)
-
-    p = sub.add_parser("compare", help="prime spectrum versus universal space")
-    add_common(p)
-
-    p = sub.add_parser("generate", help="seeded random support datum document")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=0, metavar="U64")
-    p.add_argument("--points", type=int, default=4, metavar="COUNT")
-
+    p = {name: sub.add_parser(name, help=text, parents=[common]) for name, text in SUBCOMMANDS}
+    p["lattice"].add_argument("--dot", nargs="?", const="-", metavar="PATH",
+                              help="emit the Hasse diagram as DOT (to PATH, or stdout)")
+    p["lattice"].add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
+                              metavar="COUNT", help="largest lattice the law checks accept")
+    for name in ("check", "map"):
+        p[name].add_argument("--datum", required=True, metavar="PATH")
+    p["map"].add_argument("--morphism", metavar="PATH",
+                          help="check this morphism instead of computing the canonical one")
+    p["generate"].add_argument("--seed", type=int, default=0, metavar="U64")
+    p["generate"].add_argument("--points", type=int, default=4, metavar="COUNT")
     return parser
 
 
@@ -109,12 +104,15 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def _load_json(path: str) -> object:
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    # ValueError also covers over-long integers; RecursionError, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -122,28 +120,24 @@ def _json_text(doc: object) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _names(pres: Presentation, mask: int) -> list[str]:
+    names = pres.names
+    return [names[i] for i in bits(mask)]
 
 
 # --------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
+def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
     if args.json:
-        doc = {
-            "count": len(lat.elements),
-            "subcategories": [[pres.names[i] for i in bits(e)] for e in lat.elements],
-        }
-        return _json_text(doc), EXIT_OK
-    return "\n".join(lat.labels()) + "\n", EXIT_OK
+        subsets = [_names(pres, e) for e in lat.elements]
+        return {"count": len(subsets), "subcategories": subsets}, EXIT_OK
+    return lat.labels(), EXIT_OK
 
 
-def _cmd_lattice(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
+def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
     if args.dot is not None:
         dot_text = export_dot(lat)
@@ -154,70 +148,55 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[str, int]:
         except OSError as exc:
             raise InvalidParameter(f"cannot write {args.dot}: {exc}") from exc
     report = analyze(lat, max_size=args.max_size)
+    laws = (("distributive", report.is_distributive, report.distributive_witness),
+            ("modular", report.is_modular, report.modular_witness))
+    sides = ("x", "y", "z", "lhs", "rhs")
     if args.json:
-        def witness_doc(w):
-            if w is None:
-                return None
-            return {k: [pres.names[i] for i in bits(getattr(w, k))]
-                    for k in ("x", "y", "z", "lhs", "rhs")}
-        doc = {
-            "size": report.size,
-            "height": report.height,
-            "atoms": [[pres.names[i] for i in bits(a)] for a in report.atoms],
-            "distributive": report.is_distributive,
-            "distributive_witness": witness_doc(report.distributive_witness),
-            "modular": report.is_modular,
-            "modular_witness": witness_doc(report.modular_witness),
-        }
-        return _json_text(doc), EXIT_OK
-    lines = [
-        f"size: {report.size}",
-        f"height: {report.height}",
-        "atoms: " + (", ".join(pres.label(a) for a in report.atoms)
-                     if report.atoms else "none"),
-        f"distributive: {_bool(report.is_distributive)}",
-    ]
-    if report.distributive_witness is not None:
-        lines.append("distributive witness: " + _witness_text(pres, report.distributive_witness))
-    lines.append(f"modular: {_bool(report.is_modular)}")
-    if report.modular_witness is not None:
-        lines.append("modular witness: " + _witness_text(pres, report.modular_witness))
-    return "\n".join(lines) + "\n", EXIT_OK
+        doc = {"size": report.size, "height": report.height,
+               "atoms": [_names(pres, a) for a in report.atoms]}
+        for law, holds, w in laws:
+            doc[law] = holds
+            doc[f"{law}_witness"] = (
+                None if w is None else {k: _names(pres, getattr(w, k)) for k in sides})
+        return doc, EXIT_OK
+    lines = [f"size: {report.size}", f"height: {report.height}",
+             "atoms: " + (", ".join(pres.label(a) for a in report.atoms) or "none")]
+    for law, holds, w in laws:
+        lines.append(f"{law}: {json.dumps(holds)}")
+        if w is not None:
+            lines.append(f"{law} witness: "
+                         + " ".join(f"{k}={pres.label(getattr(w, k))}" for k in sides))
+    return lines, EXIT_OK
 
 
-def _witness_text(pres: Presentation, w) -> str:
-    return (f"x={pres.label(w.x)} y={pres.label(w.y)} z={pres.label(w.z)} "
-            f"lhs={pres.label(w.lhs)} rhs={pres.label(w.rhs)}")
-
-
-def _cmd_space(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
+def _cmd_space(pres: Presentation, args: argparse.Namespace) -> Output:
     sp = build_sp(enumerate_thick(pres))
-    sup, lines = _supports(sp, "points", "sup")
     if args.json:
-        return _json_text({"points": list(sp.space.points), "sup": sup}), EXIT_OK
-    return "\n".join(lines) + "\n", EXIT_OK
+        return {"points": list(sp.space.points), "sup": _supports(sp)}, EXIT_OK
+    return _support_lines(sp, "points", "sup"), EXIT_OK
 
 
-def _supports(sp: SupportSpace, heading: str, sup_name: str) -> tuple[dict, list[str]]:
-    """Point labels per indecomposable's support, as a JSON mapping and as
-    text lines after the point count and the points themselves."""
+def _supports(sp: SupportSpace) -> dict[str, list[str]]:
+    """Point labels of each indecomposable's support."""
     names = sp.lattice.presentation.names
-    doc = {name: sp.space.point_labels(sp.sup[a]) for a, name in enumerate(names)}
-    lines = [f"{heading}: {len(sp.space.points)}", *sp.space.points]
-    lines += [f"{sup_name}({name}): " + (", ".join(labels) or "(empty)")
-              for name, labels in doc.items()]
-    return doc, lines
+    return {name: sp.space.point_labels(sp.sup[a]) for a, name in enumerate(names)}
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
+def _support_lines(sp: SupportSpace, heading: str, sup_name: str) -> list[str]:
+    """The point count, the points, then each indecomposable's support."""
+    return [f"{heading}: {len(sp.space.points)}", *sp.space.points,
+            *(f"{sup_name}({name}): " + (", ".join(labels) or "(empty)")
+              for name, labels in _supports(sp).items())]
+
+
+def _cmd_check(pres: Presentation, args: argparse.Namespace) -> Output:
     datum = datum_from_document(_load_json(args.datum), pres)
     report = check_support_datum(datum, pres)
     status = EXIT_OK if report.valid else EXIT_INVALID
     if args.json:
-        return _json_text(_datum_report_doc(report, datum, pres)), status
-    return _datum_report_text(report, datum, pres), status
+        return _datum_report_doc(report, datum, pres), status
+    lines = _datum_report_lines(report, datum, pres)
+    return [*lines, f"verdict: {'valid' if report.valid else 'invalid'}"], status
 
 
 def _datum_report_doc(report: DatumReport, datum, pres: Presentation) -> dict:
@@ -242,7 +221,8 @@ def _datum_report_lines(report: DatumReport, datum, pres: Presentation) -> list[
         lines.append(f"triangles: {len(report.triangle_violations)} violation(s)")
         for v in report.triangle_violations:
             tri = pres.triangles[v.triangle]
-            shape = " -> ".join(_expr_text(pres, e) for e in (tri.a, tri.b, tri.c))
+            shape = " -> ".join("+".join(pres.expr_names(e)) if e else "0"
+                                for e in (tri.a, tri.b, tri.c))
             stray = ", ".join(datum.space.point_labels(v.excess))
             lines.append(
                 f"  triangle {v.triangle} ({shape}), rotation {ROTATIONS[v.rotation]}: "
@@ -257,69 +237,45 @@ def _datum_report_lines(report: DatumReport, datum, pres: Presentation) -> list[
     return lines
 
 
-def _datum_report_text(report: DatumReport, datum, pres: Presentation) -> str:
-    lines = _datum_report_lines(report, datum, pres)
-    lines.append(f"verdict: {'valid' if report.valid else 'invalid'}")
-    return "\n".join(lines) + "\n"
-
-
-def _expr_text(pres: Presentation, expr) -> str:
-    return "+".join(pres.expr_names(expr)) if expr else "0"
-
-
-def _cmd_map(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
-    sp = build_sp(enumerate_thick(pres))
+def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
+    # the datum is read and checked before the enumeration, so a bad datum
+    # costs no more than `check` does
     datum = datum_from_document(_load_json(args.datum), pres)
-    datum_report = check_support_datum(datum, pres)
-    if not datum_report.valid:
-        text = "datum: invalid (run `thicklat check` for details)\nverdict: invalid\n"
+    if not check_support_datum(datum, pres).valid:
         if args.json:
-            return _json_text({"datum_valid": False, "valid": False}), EXIT_INVALID
-        return text, EXIT_INVALID
+            return {"datum_valid": False, "valid": False}, EXIT_INVALID
+        return ["datum: invalid (run `thicklat check` for details)",
+                "verdict: invalid"], EXIT_INVALID
+    sp = build_sp(enumerate_thick(pres))
     if args.morphism:
         morphism = morphism_from_document(_load_json(args.morphism), datum, sp)
     else:
         morphism = universal_morphism(datum, sp)
     report = check_morphism(datum, sp, morphism)
     status = EXIT_OK if report.ok else EXIT_INVALID
-    mapping_pairs = [
-        (datum.space.points[x], sp.space.points[t])
-        for x, t in enumerate(morphism.mapping)
-    ]
+    mapping = morphism_to_document(morphism, datum, sp)["map"]
     if args.json:
-        doc = {
-            "datum_valid": True,
-            "map": dict(mapping_pairs),
-            "pullback_failure": report.pullback_failure,
-            "continuity_failure": report.continuity_failure,
-            "valid": report.ok,
-        }
-        return _json_text(doc), status
-    lines = [f"{src} -> {dst}" for src, dst in mapping_pairs]
-    lines.extend(_morphism_report_lines(report))
-    lines.append(f"verdict: {'valid' if report.ok else 'invalid'}")
-    return "\n".join(lines) + "\n", status
-
-
-def _morphism_report_lines(report: MorphismReport) -> list[str]:
+        return {"datum_valid": True, "map": mapping, "valid": report.ok,
+                "pullback_failure": report.pullback_failure,
+                "continuity_failure": report.continuity_failure}, status
+    lines = [f"{src} -> {dst}" for src, dst in mapping.items()]
     if report.pullback_failure is not None:
-        return [f"pullback: failed at {report.pullback_failure}", "continuity: skipped"]
-    if report.continuity_failure is not None:
-        return ["pullback: ok", f"continuity: failed at {report.continuity_failure}"]
-    return ["pullback: ok", "continuity: ok"]
+        lines += [f"pullback: failed at {report.pullback_failure}", "continuity: skipped"]
+    elif report.continuity_failure is not None:
+        lines += ["pullback: ok", f"continuity: failed at {report.continuity_failure}"]
+    else:
+        lines += ["pullback: ok", "continuity: ok"]
+    return [*lines, f"verdict: {'valid' if report.ok else 'invalid'}"], status
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
+def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
     spectrum = primes(pres)
     report = verify_tt_support(spectrum, pres)
     status = EXIT_OK if report.valid else EXIT_INVALID
-    supp, lines = _supports(spectrum, "primes", "supp")
     if args.json:
-        doc = {
-            "primes": [[pres.names[i] for i in bits(q)] for q in spectrum.primes],
-            "supp": supp,
+        return {
+            "primes": [_names(pres, q) for q in spectrum.primes],
+            "supp": _supports(spectrum),
             "support_axioms": _datum_report_doc(
                 report.support_report, spectrum.as_datum(), pres),
             "unit_full": report.unit_full,
@@ -327,9 +283,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
                 [pres.names[x], pres.names[y]] for x, y in report.product_violations
             ],
             "valid": report.valid,
-        }
-        return _json_text(doc), status
-    lines.extend(_datum_report_lines(report.support_report, spectrum.as_datum(), pres))
+        }, status
+    lines = _support_lines(spectrum, "primes", "supp")
+    lines += _datum_report_lines(report.support_report, spectrum.as_datum(), pres)
     lines.append("unit: satisfied" if report.unit_full
                  else "unit: violated (its support misses a prime)")
     if report.product_violations:
@@ -338,37 +294,26 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
             lines.append(f"  pair ({pres.names[x]}, {pres.names[y]})")
     else:
         lines.append("products: satisfied")
-    lines.append(f"verdict: {'valid' if report.valid else 'invalid'}")
-    return "\n".join(lines) + "\n", status
+    return [*lines, f"verdict: {'valid' if report.valid else 'invalid'}"], status
 
 
-def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
+def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
     _, comp = comparison_map(primes(pres), enumerate_thick(pres))
     # the comparison map is the inclusion of the primes, so "fixes primes"
     # and "injective" are theorems, not checks
+    doc = {"spectrum_points": comp.spectrum_points, "universal_points": comp.universal_points,
+           "iota_fixes_primes": True, "injective": True}
     if args.json:
-        doc = {
-            "spectrum_points": comp.spectrum_points,
-            "universal_points": comp.universal_points,
-            "iota_fixes_primes": True,
-            "injective": True,
-        }
-        return _json_text(doc), EXIT_OK
-    lines = [
-        f"spectrum points: {comp.spectrum_points}",
-        f"universal points: {comp.universal_points}",
-        "iota fixes primes: true",
-        "injective: true",
-    ]
-    return "\n".join(lines) + "\n", EXIT_OK
+        return doc, EXIT_OK
+    return [f"{key.replace('_', ' ')}: {json.dumps(value)}" for key, value in doc.items()], EXIT_OK
 
 
-def _cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
-    pres = _load_presentation(args)
-    sp = build_sp(enumerate_thick(pres))
-    datum = random_support_datum(sp, args.points, args.seed)
-    return _json_text(datum_to_document(datum, pres)), EXIT_OK
+def _cmd_generate(pres: Presentation, args: argparse.Namespace) -> Output:
+    # always a JSON document: it is the input format of `check` and `map`
+    if args.points < 0:
+        raise InvalidParameter("--points must be >= 0")
+    datum = random_support_datum(build_sp(enumerate_thick(pres)), args.points, args.seed)
+    return datum_to_document(datum, pres), EXIT_OK
 
 
 COMMANDS = {
@@ -394,12 +339,15 @@ def _emit(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text, status = COMMANDS[args.command](args)
+        out, status = COMMANDS[args.command](_load_presentation(args), args)
     except ThickLatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    _emit(text)
+    if isinstance(out, dict):
+        out = _json_text(out)
+    elif not isinstance(out, str):
+        out = "\n".join(out) + "\n"
+    _emit(out)
     return status

@@ -138,7 +138,8 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the canonical JSON document into a validated Presentation."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers over-long integers; RecursionError, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return presentation_from_document(doc)
 
@@ -196,6 +197,11 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
+def utf8_encodable(name: str) -> bool:
+    """False if ``name`` holds a lone surrogate: JSON can spell it, UTF-8 cannot."""
+    return not any("\ud800" <= ch <= "\udfff" for ch in name)
+
+
 def _parse_names(raw: object) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise SchemaError("indecomposables must be a list of strings")
@@ -203,6 +209,8 @@ def _parse_names(raw: object) -> tuple[str, ...]:
     for name in raw:
         if not name:
             raise ValidationError("indecomposable names must be non-empty")
+        if not utf8_encodable(name):
+            raise ValidationError(f"indecomposable name {name!r} is not valid UTF-8")
         if NAME_SEPARATOR in name:
             raise ValidationError(
                 f"indecomposable name {name!r} contains the reserved {NAME_SEPARATOR!r}")

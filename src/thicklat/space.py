@@ -17,7 +17,7 @@ from functools import cached_property
 from .bitsets import bits
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
-from .presentation import ObjectExpr, Presentation
+from .presentation import ObjectExpr, Presentation, utf8_encodable
 
 
 @dataclass(frozen=True)
@@ -296,6 +296,8 @@ def datum_from_document(doc: object, pres: Presentation) -> SupportDatum:
         raise SchemaError("points must be a list of non-empty strings")
     if len(set(raw_points)) != len(raw_points):
         raise ValidationError("point names must be unique")
+    if not all(map(utf8_encodable, raw_points)):
+        raise ValidationError("point names must be valid UTF-8")
     points = tuple(raw_points)
     point_index = {p: i for i, p in enumerate(points)}
 

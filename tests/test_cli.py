@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from thicklat.cli import main
+from thicklat.presentation import builtin
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -242,3 +247,104 @@ def test_byte_identical_reruns(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+A2_DATUM = {"points": ["u"], "sigma": {"P1": [], "P2": [], "S2": []}}
+# bytes no JSON reader should turn into a traceback
+UNREADABLE = {
+    "not-utf8": b'{"points": ["\xff"]}',
+    "nested-too-deep": b"[" * 200_000,
+    "integer-too-long": b"1" * 5_000,
+}
+
+
+@pytest.mark.parametrize("flag", ["--input", "--datum", "--morphism"])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_documents_exit_2(capsys, tmp_path, flag, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE[kind])
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(A2_DATUM))
+    argv = {
+        "--input": ["enumerate", "--input", str(bad)],
+        "--datum": ["map", "--builtin", "a2", "--datum", str(bad)],
+        "--morphism": ["map", "--builtin", "a2", "--datum", str(datum), "--morphism", str(bad)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["enumerate", "--input"], {"indecomposables": ["\ud800"], "triangles": []}),
+    (["map", "--builtin", "a2", "--datum"], {**A2_DATUM, "points": ["\udfff"]}),
+    (["check", "--builtin", "a2", "--datum"], {**A2_DATUM, "points": ["u\ud800"]}),
+], ids=["presentation", "map-datum", "check-datum"])
+def test_lone_surrogate_names_exit_2(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
+    def refuse(pres):
+        raise RuntimeError("enumerated before the inputs were checked")
+
+    monkeypatch.setattr("thicklat.cli.enumerate_thick", refuse)
+    assert run(capsys, "map", "--builtin", "an:4", "--datum", "/does/not/exist.json")[0] == 2
+    code, _, err = run(capsys, "generate", "--builtin", "an:4", "--points", "-1")
+    assert code == 2 and err.startswith("error:")
+    invalid = str(GOLDEN / "an4-datum-invalid.json")
+    for flags in ([], ["--json"]):
+        assert run(capsys, "map", "--builtin", "an:4", "--datum", invalid, *flags)[0] == 1
+
+
+# Fuzzing main: names draw on a lone surrogate and on the reserved "|";
+# documents are arbitrary bytes, a fragment repeated once or past the
+# interpreter's limits on nesting depth and digits, arbitrary JSON values, or
+# documents of the expected shape.
+NAMES = st.text(st.sampled_from("a|\xe9\ud800"), max_size=2)
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=8)
+PRESENTATIONS = st.fixed_dictionaries(
+    {"indecomposables": st.lists(NAMES, max_size=3), "triangles": st.just([]) | VALUES})
+AN3_DATA = st.fixed_dictionaries({
+    "points": st.lists(NAMES, max_size=3),
+    "sigma": st.fixed_dictionaries({n: st.lists(NAMES, max_size=1)
+                                    for n in builtin("an", 3).names}),
+})
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def documents(shaped):
+    fragment = st.sampled_from([b"[", b'{"a":', b"9"])
+    return st.one_of(
+        st.binary(max_size=24),
+        st.tuples(fragment, st.sampled_from([1, 2 ** 11, 2 ** 17])).map(lambda t: t[0] * t[1]),
+        VALUES.map(lambda doc: json.dumps(doc).encode()),
+        shaped.map(lambda doc: json.dumps(doc).encode()),
+    )
+
+
+@FUZZ
+@given(doc=documents(PRESENTATIONS), flags=st.sampled_from([[], ["--json"]]))
+def test_main_survives_any_presentation_document(capsysbinary, tmp_path, doc, flags):
+    path = tmp_path / "presentation.json"
+    path.write_bytes(doc)
+    assert main(["enumerate", "--input", str(path), *flags]) in (0, 1, 2)
+    capsysbinary.readouterr()
+
+
+@FUZZ
+@given(doc=documents(AN3_DATA), command=st.sampled_from(["check", "map"]),
+       flags=st.sampled_from([[], ["--json"]]))
+def test_main_survives_any_an3_datum_document(capsysbinary, tmp_path, doc, command, flags):
+    path = tmp_path / "datum.json"
+    path.write_bytes(doc)
+    assert main([command, "--builtin", "an:3", "--datum", str(path), *flags]) in (0, 1, 2)
+    capsysbinary.readouterr()

@@ -11,14 +11,20 @@ universal morphism; ``exit-status.json`` holds the exit status of each.
 ``generate-an4.json`` is both the ``generate`` golden and the valid datum fed
 to ``check`` and ``map``; ``an4-datum-invalid.json`` moves one support and
 ``an4-morphism-mutated.json`` sends ``x0`` to the image of ``x3``.
+
+The ``enumerate-*`` goldens and ``parser-contract.json`` were written by the
+CLI whose handlers each loaded the presentation and rendered their own
+output, before the handlers were reduced to one load-compute-render
+pipeline.
 """
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from thicklat.cli import main
+from thicklat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SOURCES = {
@@ -86,3 +92,45 @@ def test_support_stdout_and_status_match_golden(capsysbinary, golden):
     status = main(SUPPORT_CASES[golden])
     out = capsysbinary.readouterr().out
     assert (status, out) == (EXIT_STATUS[golden], (GOLDEN / golden).read_bytes())
+
+
+@pytest.mark.parametrize("fmt", sorted(SUPPORT_FORMATS))
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_enumerate_stdout_matches_golden(capsysbinary, name, fmt):
+    assert main(["enumerate", *SOURCES[name], *SUPPORT_FORMATS[fmt]]) == 0
+    out = capsysbinary.readouterr().out
+    assert out == (GOLDEN / f"enumerate-{name}.{fmt}").read_bytes()
+
+
+def parser_contract() -> dict:
+    """The subcommands in order, each with its help and, per option, what
+    argparse does with it."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        "dest": sub.dest,
+        "required": sub.required,
+        "commands": [
+            {
+                "name": name,
+                "help": helps[name],
+                "options": [
+                    {"strings": a.option_strings, "dest": a.dest, "default": a.default,
+                     "required": a.required, "nargs": a.nargs, "const": a.const,
+                     "type": a.type and a.type.__name__, "metavar": a.metavar,
+                     "help": a.help}
+                    for a in p._actions if not isinstance(a, argparse._HelpAction)
+                ],
+            }
+            for name, p in sub.choices.items()
+        ],
+    }
+
+
+def test_parser_contract_matches_golden():
+    # recorded from the parser that added the common options to each
+    # subcommand one by one; compared as data, not as --help text, because
+    # argparse's help layout differs between Python versions
+    recorded = json.loads((GOLDEN / "parser-contract.json").read_text())
+    assert json.loads(json.dumps(parser_contract())) == recorded

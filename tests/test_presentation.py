@@ -54,6 +54,8 @@ def test_parse_duplicate_name():
     '{"indecomposables":["a"],"triangles":[[["a"],["a"]]]}',
     '{"indecomposables":["a"],"triangles":[],"extra":1}',
     '{"indecomposables":["a"],"triangles":"x"}',
+    pytest.param("[" * 200_000, id="nested-too-deep"),
+    pytest.param("1" * 5_000, id="integer-too-long"),
 ])
 def test_parse_schema_errors(text):
     with pytest.raises(SchemaError):
@@ -63,6 +65,11 @@ def test_parse_schema_errors(text):
 def test_parse_rejects_separator_in_name():
     with pytest.raises(ValidationError):
         parse_presentation('{"indecomposables":["a|b"],"triangles":[]}')
+
+
+def test_parse_rejects_lone_surrogate_name():
+    with pytest.raises(ValidationError, match="UTF-8"):
+        parse_presentation('{"indecomposables":["a\\ud800"],"triangles":[]}')
 
 
 def test_parse_tensor_missing_pair():

@@ -380,6 +380,7 @@ def test_datum_document_explicit_closed():
     ({"points": ["u"], "sigma": {"P1": ["u"], "P2": [], "S2": [], "zz": []}}, "validation"),
     ({"points": ["u"], "sigma": {"P1": ["u"], "P2": []}}, "validation"),
     ({"points": ["u"], "sigma": {"P1": ["w"], "P2": [], "S2": []}}, "validation"),
+    ({"points": ["\ud800"], "sigma": {"P1": [], "P2": [], "S2": []}}, "validation"),
 ])
 def test_datum_document_errors(doc, err):
     from thicklat.errors import SchemaError
