@@ -49,7 +49,6 @@ from .space import (
     datum_to_document,
     morphism_from_document,
     morphism_to_document,
-    preimage,
     random_support_datum,
     universal_morphism,
 )

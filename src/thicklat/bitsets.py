@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -20,8 +20,19 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
+def omitted(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Complemented transpose: per c < width, the mask of the positions r
+    at which ``rows[r]`` lacks bit c."""
+    if not rows:
+        return (0,) * width
+    spec = f"0{width}b"
+    low = (1 << width) - 1
+    # rows are written last to first, each most significant bit first, so
+    # the stride-width slice for bit c reads as a binary numeral in which
+    # row r is bit r
+    text = "".join([format(row & low, spec) for row in reversed(rows)])
+    full = (1 << len(rows)) - 1
+    return tuple(full ^ int(text[width - 1 - c::width], 2) for c in range(width))
 
 
 def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:

@@ -139,15 +139,15 @@ def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
 
 def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
+    if args.dot == "-":
+        return export_dot(lat), EXIT_OK
+    # the size guard runs first, so a run that exits 2 writes no file
+    report = analyze(lat, max_size=args.max_size)
     if args.dot is not None:
-        dot_text = export_dot(lat)
-        if args.dot == "-":
-            return dot_text, EXIT_OK
         try:
-            Path(args.dot).write_text(dot_text, encoding="utf-8", newline="\n")
+            Path(args.dot).write_text(export_dot(lat), encoding="utf-8", newline="\n")
         except OSError as exc:
             raise InvalidParameter(f"cannot write {args.dot}: {exc}") from exc
-    report = analyze(lat, max_size=args.max_size)
     laws = (("distributive", report.is_distributive, report.distributive_witness),
             ("modular", report.is_modular, report.modular_witness))
     sides = ("x", "y", "z", "lhs", "rhs")

@@ -52,9 +52,6 @@ class TensorTable:
     unit: ObjectExpr
     table: tuple[tuple[ObjectExpr, ...], ...]
 
-    def product(self, x: int, y: int) -> ObjectExpr:
-        return self.table[x][y]
-
     @cached_property
     def absorption_masks(self) -> tuple[int, ...]:
         """Per indecomposable x: union of component masks of g*x over all g."""

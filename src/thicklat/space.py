@@ -5,6 +5,13 @@ indecomposable the set of points (subcategories) that miss it. Those
 assignments generate the closed-set family, every support datum maps into
 the space uniquely, and both directions of that statement are checkable
 here: axiom verification, the canonical morphism, and morphism checking.
+
+``build_sp`` and ``universal_morphism`` read one object-by-point incidence
+matrix in its two directions: supports by omission are the complemented
+transpose of the points, and the image of a point is the complemented
+transpose of the supports. Pullbacks along a point map are the same
+transpose of the mapped points, so all of them go through
+``bitsets.omitted``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits
+from .bitsets import bits, omitted
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
 from .presentation import ObjectExpr, Presentation, utf8_encodable
@@ -96,17 +103,9 @@ class SupportSpace:
 
 def build_sp(lattice: ThickLattice) -> SupportSpace:
     """One point per element of ``lattice``, supports by omission."""
-    pres = lattice.presentation
-    sup = []
-    for a in range(pres.size):
-        bit = 1 << a
-        m = 0
-        for pos, elem in enumerate(lattice.elements):
-            if not elem & bit:
-                m |= 1 << pos
-        sup.append(m)
+    sup = omitted(lattice.elements, lattice.presentation.size)
     space = FinSpace.generate(lattice.labels(), sup)
-    return SupportSpace(lattice, space, tuple(sup))
+    return SupportSpace(lattice, space, sup)
 
 
 @dataclass(frozen=True)
@@ -189,14 +188,6 @@ class SupportMorphism:
     mapping: tuple[int, ...]
 
 
-def preimage(morphism: SupportMorphism, target_mask: int) -> int:
-    m = 0
-    for x, t in enumerate(morphism.mapping):
-        if (target_mask >> t) & 1:
-            m |= 1 << x
-    return m
-
-
 def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism:
     """Send each point to the set of objects whose support avoids it.
 
@@ -208,13 +199,8 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
     """
     pres = sp.lattice.presentation
     position = sp.lattice.position
-    sigma = datum.sigma
     mapping = []
-    for x in range(len(datum.space.points)):
-        image = 0
-        for a in range(pres.size):
-            if not (sigma[a] >> x) & 1:
-                image |= 1 << a
+    for x, image in enumerate(omitted(datum.sigma, len(datum.space.points))):
         pos = position.get(image)
         if pos is None:
             raise NotThick(
@@ -241,13 +227,14 @@ def check_morphism(datum: SupportDatum, sp: SupportSpace,
     """
     if len(morphism.mapping) != len(datum.space.points):
         raise InvalidParameter("morphism must map every point of the datum's space")
-    count = len(sp.lattice.elements)
+    elems = sp.lattice.elements
     for t in morphism.mapping:
-        if not 0 <= t < count:
+        if not 0 <= t < len(elems):
             raise InvalidParameter(f"morphism target position {t} is out of range")
     names = sp.lattice.presentation.names
-    for a in range(len(names)):
-        pre = preimage(morphism, sp.sup[a])
+    # x lies in the preimage of sup(a) exactly when a is missing from x's target
+    pullbacks = omitted([elems[t] for t in morphism.mapping], len(names))
+    for a, pre in enumerate(pullbacks):
         if pre != datum.sigma[a]:
             return MorphismReport(False, pullback_failure=names[a])
         if not datum.space.is_closed(pre):
@@ -266,12 +253,12 @@ def random_support_datum(sp: SupportSpace, num_points: int, seed: int) -> Suppor
     if num_points < 0:
         raise InvalidParameter("num_points must be >= 0")
     rng = random.Random(seed)
-    count = len(sp.lattice.elements)
-    origin = tuple(rng.randrange(count) for _ in range(num_points))
-    sigma = [preimage(SupportMorphism(origin), sup_a) for sup_a in sp.sup]
+    elems = sp.lattice.elements
+    origin = tuple(rng.randrange(len(elems)) for _ in range(num_points))
+    sigma = omitted([elems[t] for t in origin], sp.lattice.presentation.size)
     points = tuple(f"x{i}" for i in range(num_points))
     space = FinSpace.generate(points, sigma)
-    return SupportDatum(space, tuple(sigma), origin_map=origin)
+    return SupportDatum(space, sigma, origin_map=origin)
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import random
 
-from thicklat.bitsets import canonical_key, is_subset, mask_of
+from thicklat.bitsets import canonical_key, mask_of
 from thicklat.closure import ThickLattice, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.lattice import LatticeReport, LawWitness
@@ -17,7 +17,16 @@ def object_in(thick, expr):
 
     The zero object (empty expression) belongs to every subset.
     """
-    return is_subset(mask_of(expr), thick)
+    return mask_of(expr) & ~thick == 0
+
+
+def preimage(morphism, target_mask):
+    """Oracle pullback: the source points whose target lies in the mask."""
+    m = 0
+    for x, t in enumerate(morphism.mapping):
+        if (target_mask >> t) & 1:
+            m |= 1 << x
+    return m
 
 
 def brute_force_thick(pres):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 
-from conftest import bell_numbers, brute_force_thick, random_presentation
+from conftest import bell_numbers, brute_force_thick, preimage, random_presentation
 from thicklat.cli import main
 from thicklat.closure import enumerate_thick
 from thicklat.lattice import analyze, join, meet
@@ -18,7 +18,6 @@ from thicklat.space import (
     build_sp,
     check_morphism,
     check_support_datum,
-    preimage,
     random_support_datum,
     universal_morphism,
 )

@@ -1,0 +1,42 @@
+import random
+
+import pytest
+
+from thicklat.bitsets import omitted
+
+
+def omitted_by_loop(rows, width):
+    """Oracle: test every bit of every row."""
+    out = []
+    for c in range(width):
+        m = 0
+        for r, row in enumerate(rows):
+            if not (row >> c) & 1:
+                m |= 1 << r
+        out.append(m)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_omitted_matches_loop_on_random_rows(seed):
+    rng = random.Random(seed)
+    width = rng.randint(0, 70)
+    # some rows carry bits at or past width, which the transpose ignores
+    rows = [rng.getrandbits(width + rng.randint(0, 3)) for _ in range(rng.randint(0, 70))]
+    assert omitted(rows, width) == omitted_by_loop(rows, width)
+
+
+@pytest.mark.parametrize("rows, width", [
+    ((), 0), ((), 5), ([0b101, 0], 0), ([0], 1), ([1], 1), ([0b11, 0b10], 2),
+])
+def test_omitted_edge_cases(rows, width):
+    assert omitted(rows, width) == omitted_by_loop(rows, width)
+
+
+def test_omitted_matches_loop_on_wide_rows():
+    # an:8's supports are 21,147 bits wide: both directions of that shape
+    rng = random.Random(8)
+    wide = [rng.getrandbits(21_147) for _ in range(4)]
+    assert omitted(wide, 21_147) == omitted_by_loop(wide, 21_147)
+    tall = [rng.getrandbits(3) for _ in range(21_147)]
+    assert omitted(tall, 3) == omitted_by_loop(tall, 3)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from thicklat.cli import main
+from thicklat.closure import enumerate_thick
 from thicklat.presentation import builtin
+from thicklat.space import build_sp, datum_to_document, random_support_datum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +71,20 @@ def test_lattice_max_size_guard(capsys):
     code, _, err = run(capsys, "lattice", "--builtin", "a2", "--max-size", "3")
     assert code == 2
     assert "error" in err
+
+
+def test_lattice_dot_file_waits_for_the_guard(capsys, tmp_path):
+    target = tmp_path / "a2.gv"
+    code, out, err = run(capsys, "lattice", "--builtin", "a2", "--dot", str(target),
+                         "--max-size", "3")
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert not target.exists()
+    # a lattice exactly at the guard still gets its report and its file
+    code, out, _ = run(capsys, "lattice", "--builtin", "a2", "--dot", str(target),
+                       "--max-size", "5")
+    assert (code, out) == (0, (GOLDEN / "lattice-a2.txt").read_text(encoding="utf-8"))
+    assert target.read_text(encoding="utf-8") == (GOLDEN / "lattice-a2.dot").read_text(
+        encoding="utf-8")
 
 
 def test_space_summary(capsys):
@@ -312,11 +328,27 @@ VALUES = st.recursive(
     max_leaves=8)
 PRESENTATIONS = st.fixed_dictionaries(
     {"indecomposables": st.lists(NAMES, max_size=3), "triangles": st.just([]) | VALUES})
+AN3 = builtin("an", 3)
 AN3_DATA = st.fixed_dictionaries({
     "points": st.lists(NAMES, max_size=3),
     "sigma": st.fixed_dictionaries({n: st.lists(NAMES, max_size=1)
-                                    for n in builtin("an", 3).names}),
+                                    for n in AN3.names}),
 })
+AN3_SP = build_sp(enumerate_thick(AN3))
+# a valid datum on x0, x1, x2; each point goes to its universal image half the
+# time, else to any point of the space or to no point at all, and the map may
+# also name an unknown point, miss x2 or sit beside an extra key
+AN3_DATUM = random_support_datum(AN3_SP, 3, seed=0)
+TARGETS = st.sampled_from(AN3_SP.space.points + ("{P}", None, 0, ["{}"]))
+MAPS = st.fixed_dictionaries({
+    f"x{x}": st.just(AN3_SP.space.points[t]) | TARGETS
+    for x, t in enumerate(AN3_DATUM.origin_map)})
+AN3_MORPHISMS = st.one_of(
+    MAPS.map(lambda m: {"map": m}),
+    MAPS.map(lambda m: {"map": {**m, "y": "{}"}}),
+    MAPS.map(lambda m: {"map": {"x0": m["x0"], "x1": m["x1"]}}),
+    st.tuples(MAPS, VALUES).map(lambda t: {"map": t[0], "extra": t[1]}),
+)
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -347,4 +379,16 @@ def test_main_survives_any_an3_datum_document(capsysbinary, tmp_path, doc, comma
     path = tmp_path / "datum.json"
     path.write_bytes(doc)
     assert main([command, "--builtin", "an:3", "--datum", str(path), *flags]) in (0, 1, 2)
+    capsysbinary.readouterr()
+
+
+@FUZZ
+@given(doc=documents(AN3_MORPHISMS), flags=st.sampled_from([[], ["--json"]]))
+def test_main_survives_any_an3_morphism_document(capsysbinary, tmp_path, doc, flags):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(datum_to_document(AN3_DATUM, AN3)), encoding="utf-8")
+    path = tmp_path / "morphism.json"
+    path.write_bytes(doc)
+    argv = ["map", "--builtin", "an:3", "--datum", str(datum), "--morphism", str(path), *flags]
+    assert main(argv) in (0, 1, 2)
     capsysbinary.readouterr()

@@ -179,7 +179,7 @@ def test_builtin_point():
     assert pres.names == ("k",)
     assert pres.triangles == ()
     assert pres.tensor.unit == (0,)
-    assert pres.tensor.product(0, 0) == (0,)
+    assert pres.tensor.table[0][0] == (0,)
 
 
 def test_builtin_product():
@@ -188,7 +188,7 @@ def test_builtin_product():
     assert pres.tensor.unit == (0, 1, 2)
     for x in range(3):
         for y in range(3):
-            assert pres.tensor.product(x, y) == ((x,) if x == y else ())
+            assert pres.tensor.table[x][y] == ((x,) if x == y else ())
 
 
 def test_builtin_errors():

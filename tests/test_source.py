@@ -1,6 +1,8 @@
 """Gates read off the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import thicklat
@@ -19,3 +21,18 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_names_the_benchmark_traces_still_resolve():
+    # bench/spans.py patches these names by module attribute, so a rename or
+    # deletion would otherwise surface only when the benchmark runs
+    path = Path(__file__).parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for _, module, attr in spans.FUNCTIONS + spans.SITES
+               if not callable(getattr(importlib.import_module(f"thicklat.{module}"), attr, None))]
+    assert missing == []
+    assert callable(thicklat.space.FinSpace.is_closed)
+    # the size counter for tensor.primes reads the spectrum's points by this name
+    assert isinstance(thicklat.Spectrum.primes, property)

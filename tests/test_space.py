@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import closed_sets
+from conftest import closed_sets, preimage
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick
 from thicklat.errors import InvalidParameter, NotThick, ValidationError
@@ -18,7 +18,6 @@ from thicklat.space import (
     datum_to_document,
     morphism_from_document,
     morphism_to_document,
-    preimage,
     random_support_datum,
     universal_morphism,
 )

@@ -8,6 +8,7 @@ from conftest import (
     closure_by_sweep,
     ideal_rule_closed,
     object_in,
+    preimage,
     random_tensor_presentation,
 )
 from thicklat.bitsets import canonical_key, mask_of
@@ -127,7 +128,7 @@ def test_pair_primality_implies_object_primality():
                 product = []
                 for x in a:
                     for y in b:
-                        product.extend(table.product(x, y))
+                        product.extend(table.table[x][y])
                 if object_in(q, make_expr(product)):
                     assert object_in(q, a) or object_in(q, b)
 
@@ -143,7 +144,7 @@ def test_supp_turns_products_into_intersections():
         spectrum = primes(pres)
         for x in range(pres.size):
             for y in range(pres.size):
-                got = spectrum.as_datum().sigma_of(pres.tensor.product(x, y))
+                got = spectrum.as_datum().sigma_of(pres.tensor.table[x][y])
                 assert got == spectrum.sup[x] & spectrum.sup[y]
 
 
@@ -177,7 +178,6 @@ def test_comparison_map_counts():
 
 
 def test_comparison_map_pullback():
-    from thicklat.space import preimage
     for pres in TENSOR_BUILTINS:
         spectrum = primes(pres)
         sp = build_sp(enumerate_thick(pres))
