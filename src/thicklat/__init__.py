@@ -53,7 +53,6 @@ from .space import (
     universal_morphism,
 )
 from .tensor import (
-    CompressionReport,
     Spectrum,
     TtReport,
     comparison_map,

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress
+
+# binary digits as the bytes 0 and 1, which compress reads as selectors
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -13,11 +17,18 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Indices present in the mask, ascending."""
+    """Indices present in the mask, ascending. Each step copies the int,
+    so this is for narrow masks; ``pick`` walks masks of any width."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def pick(items: Sequence[str], mask: int) -> list[str]:
+    """The items at the set bits of ``mask`` in index order, from one pass
+    over its binary digits; bits at or past ``len(items)`` are ignored."""
+    return list(compress(items, bin(mask)[:1:-1].encode().translate(_DIGITS)))
 
 
 def omitted(rows: Sequence[int], width: int) -> tuple[int, ...]:

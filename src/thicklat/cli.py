@@ -12,11 +12,12 @@ exit status: a JSON document as a ``dict``, text as a list of lines, or a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .bitsets import bits
+from .bitsets import pick
 from .closure import enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, export_dot
@@ -44,18 +45,6 @@ EXIT_ERROR = 2
 # a JSON document, text lines, or text written as it is; and the exit status
 Output = tuple[dict | list[str] | tuple[str, ...] | str, int]
 
-SUBCOMMANDS = (
-    ("enumerate", "list every thick subcategory"),
-    ("lattice", "order-theoretic report, optionally DOT"),
-    ("space", "universal support space summary"),
-    ("check", "verify a support datum"),
-    ("map", "universal morphism from a support datum"),
-    ("spectrum", "prime tensor ideals and their supports"),
-    ("compare", "prime spectrum versus universal space"),
-    ("generate", "seeded random support datum document"),
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--builtin", metavar="FAMILY[:N]",
@@ -68,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thick subcategory lattices, support spaces, and prime spectra "
                     "of finite presentations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = {name: sub.add_parser(name, help=text, parents=[common]) for name, text in SUBCOMMANDS}
+    p = {name: sub.add_parser(name, help=text, parents=[common]) for name, text, _ in SUBCOMMANDS}
+    for name, _, run in SUBCOMMANDS:
+        p[name].set_defaults(run=run)
     p["lattice"].add_argument("--dot", nargs="?", const="-", metavar="PATH",
                               help="emit the Hasse diagram as DOT (to PATH, or stdout)")
     p["lattice"].add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
@@ -120,11 +111,6 @@ def _json_text(doc: object) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _names(pres: Presentation, mask: int) -> list[str]:
-    names = pres.names
-    return [names[i] for i in bits(mask)]
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -132,7 +118,7 @@ def _names(pres: Presentation, mask: int) -> list[str]:
 def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
     if args.json:
-        subsets = [_names(pres, e) for e in lat.elements]
+        subsets = [pick(pres.names, e) for e in lat.elements]
         return {"count": len(subsets), "subcategories": subsets}, EXIT_OK
     return lat.labels(), EXIT_OK
 
@@ -153,11 +139,11 @@ def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
     sides = ("x", "y", "z", "lhs", "rhs")
     if args.json:
         doc = {"size": report.size, "height": report.height,
-               "atoms": [_names(pres, a) for a in report.atoms]}
+               "atoms": [pick(pres.names, a) for a in report.atoms]}
         for law, holds, w in laws:
             doc[law] = holds
             doc[f"{law}_witness"] = (
-                None if w is None else {k: _names(pres, getattr(w, k)) for k in sides})
+                None if w is None else {k: pick(pres.names, getattr(w, k)) for k in sides})
         return doc, EXIT_OK
     lines = [f"size: {report.size}", f"height: {report.height}",
              "atoms: " + (", ".join(pres.label(a) for a in report.atoms) or "none")]
@@ -270,11 +256,11 @@ def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
 
 def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
     spectrum = primes(pres)
-    report = verify_tt_support(spectrum, pres)
+    report = verify_tt_support(spectrum)
     status = EXIT_OK if report.valid else EXIT_INVALID
     if args.json:
         return {
-            "primes": [_names(pres, q) for q in spectrum.primes],
+            "primes": [pick(pres.names, q) for q in spectrum.primes],
             "supp": _supports(spectrum),
             "support_axioms": _datum_report_doc(
                 report.support_report, spectrum.as_datum(), pres),
@@ -298,10 +284,11 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
 
 
 def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
-    _, comp = comparison_map(primes(pres), enumerate_thick(pres))
+    lattice = enumerate_thick(pres)
+    inclusion = comparison_map(primes(pres), lattice)
     # the comparison map is the inclusion of the primes, so "fixes primes"
     # and "injective" are theorems, not checks
-    doc = {"spectrum_points": comp.spectrum_points, "universal_points": comp.universal_points,
+    doc = {"spectrum_points": len(inclusion.mapping), "universal_points": len(lattice),
            "iota_fixes_primes": True, "injective": True}
     if args.json:
         return doc, EXIT_OK
@@ -316,16 +303,17 @@ def _cmd_generate(pres: Presentation, args: argparse.Namespace) -> Output:
     return datum_to_document(datum, pres), EXIT_OK
 
 
-COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "lattice": _cmd_lattice,
-    "space": _cmd_space,
-    "check": _cmd_check,
-    "map": _cmd_map,
-    "spectrum": _cmd_spectrum,
-    "compare": _cmd_compare,
-    "generate": _cmd_generate,
-}
+# name, help and handler of each subcommand, in --help order
+SUBCOMMANDS = (
+    ("enumerate", "list every thick subcategory", _cmd_enumerate),
+    ("lattice", "order-theoretic report, optionally DOT", _cmd_lattice),
+    ("space", "universal support space summary", _cmd_space),
+    ("check", "verify a support datum", _cmd_check),
+    ("map", "universal morphism from a support datum", _cmd_map),
+    ("spectrum", "prime tensor ideals and their supports", _cmd_spectrum),
+    ("compare", "prime spectrum versus universal space", _cmd_compare),
+    ("generate", "seeded random support datum document", _cmd_generate),
+)
 
 
 def _emit(text: str) -> None:
@@ -338,10 +326,16 @@ def _emit(text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state in the parser, so one serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        out, status = COMMANDS[args.command](_load_presentation(args), args)
+        out, status = args.run(_load_presentation(args), args)
     except ThickLatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

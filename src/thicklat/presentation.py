@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, mask_of, pick
 from .errors import InvalidParameter, SchemaError, UnknownFamily, ValidationError
 
 ObjectExpr = tuple[int, ...]
@@ -53,16 +54,14 @@ class TensorTable:
     table: tuple[tuple[ObjectExpr, ...], ...]
 
     @cached_property
+    def product_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Component mask of x*y at ``[x][y]``."""
+        return tuple(tuple(map(mask_of, row)) for row in self.table)
+
+    @cached_property
     def absorption_masks(self) -> tuple[int, ...]:
         """Per indecomposable x: union of component masks of g*x over all g."""
-        size = len(self.table)
-        out = []
-        for x in range(size):
-            m = 0
-            for g in range(size):
-                m |= mask_of(self.table[g][x])
-            out.append(m)
-        return tuple(out)
+        return tuple(reduce(or_, column, 0) for column in zip(*self.product_masks))
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class Presentation:
 
     def label(self, mask: int) -> str:
         """Brace-joined member names of a subset mask, in index order."""
-        return "{" + ",".join(self.names[i] for i in bits(mask)) + "}"
+        return "{" + ",".join(pick(self.names, mask)) + "}"
 
     def expr_names(self, expr: ObjectExpr) -> list[str]:
         return [self.names[i] for i in expr]
@@ -251,12 +250,14 @@ def _parse_tensor(raw: object, names: tuple[str, ...], index: dict[str, int]) ->
             if cells[x][y] is None:
                 raise ValidationError(
                     f"tensor table is missing the pair {names[x]}{NAME_SEPARATOR}{names[y]}")
+    tensor = TensorTable(unit, tuple(tuple(row) for row in cells))
+    masks = tensor.product_masks
     for x in range(n):
         for y in range(x + 1, n):
-            if set(cells[x][y]) != set(cells[y][x]):
+            if masks[x][y] != masks[y][x]:
                 raise ValidationError(
                     f"tensor table is not symmetric at ({names[x]}, {names[y]})")
-    return TensorTable(unit, tuple(tuple(row) for row in cells))
+    return tensor
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bits, omitted
+from .bitsets import omitted, pick
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
 from .presentation import ObjectExpr, Presentation, utf8_encodable
@@ -81,7 +81,7 @@ class FinSpace:
         return mask == 0 or self.closed_closure(mask) == mask
 
     def point_labels(self, mask: int) -> list[str]:
-        return [self.points[i] for i in bits(mask)]
+        return pick(self.points, mask)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import canonical_key, mask_of
+from .bitsets import canonical_key
 from .closure import ThickLattice, iter_closed, propagate
 from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import NoTensor
@@ -61,10 +61,9 @@ def primes(pres: Presentation) -> Spectrum:
     Primality is decided on pairs of indecomposables; the object-level
     condition follows because membership is component-determined.
     """
-    table = _tensor(pres)
+    product_masks = _tensor(pres).product_masks
     n = pres.size
     full = pres.full_mask
-    product_masks = [[mask_of(table.table[x][y]) for y in range(n)] for x in range(n)]
     # a subsequence of the ideals, so still in canonical order
     found = tuple(q for q in enumerate_ideals(pres).elements
                   if q != full and _is_prime(q, n, product_masks))
@@ -72,7 +71,7 @@ def primes(pres: Presentation) -> Spectrum:
     return Spectrum(sp.lattice, sp.space, sp.sup)
 
 
-def _is_prime(q: int, n: int, product_masks: list[list[int]]) -> bool:
+def _is_prime(q: int, n: int, product_masks: tuple[tuple[int, ...], ...]) -> bool:
     for x in range(n):
         x_in = (q >> x) & 1
         row = product_masks[x]
@@ -95,9 +94,10 @@ class TtReport:
         return self.support_report.valid and self.unit_full and not self.product_violations
 
 
-def verify_tt_support(spectrum: SupportSpace, pres: Presentation) -> TtReport:
+def verify_tt_support(spectrum: SupportSpace) -> TtReport:
     """Check the unit covers everything and supports turn products into
     intersections, re-running the base axiom checks along the way."""
+    pres = spectrum.lattice.presentation
     table = _tensor(pres)
     datum = spectrum.as_datum()
     base = check_support_datum(datum, pres)
@@ -111,16 +111,9 @@ def verify_tt_support(spectrum: SupportSpace, pres: Presentation) -> TtReport:
     return TtReport(base, unit_full, tuple(bad_pairs))
 
 
-@dataclass(frozen=True)
-class CompressionReport:
-    spectrum_points: int
-    universal_points: int
-
-
-def comparison_map(spectrum: Spectrum,
-                   lattice: ThickLattice) -> tuple[SupportMorphism, CompressionReport]:
+def comparison_map(spectrum: Spectrum, lattice: ThickLattice) -> SupportMorphism:
     """Canonical morphism from the prime spectrum into the universal space
-    over ``lattice``, with both sizes side by side.
+    over ``lattice``.
 
     The universal morphism sends a point to the objects whose support avoids
     it, and at the prime q those are exactly the members of q. So the map is
@@ -128,5 +121,4 @@ def comparison_map(spectrum: Spectrum,
     prime and is injective.
     """
     position = lattice.position
-    morphism = SupportMorphism(tuple(position[q] for q in spectrum.primes))
-    return morphism, CompressionReport(len(spectrum.primes), len(lattice.elements))
+    return SupportMorphism(tuple(position[q] for q in spectrum.primes))

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from thicklat.bitsets import omitted
+from thicklat.bitsets import bits, omitted, pick
+from thicklat.closure import enumerate_thick
+from thicklat.presentation import builtin
+from thicklat.space import build_sp
 
 
 def omitted_by_loop(rows, width):
@@ -40,3 +43,34 @@ def test_omitted_matches_loop_on_wide_rows():
     assert omitted(wide, 21_147) == omitted_by_loop(wide, 21_147)
     tall = [rng.getrandbits(3) for _ in range(21_147)]
     assert omitted(tall, 3) == omitted_by_loop(tall, 3)
+
+
+def pick_by_bits(items, mask):
+    """Oracle: index the items at the bits that ``bits`` yields."""
+    return [items[i] for i in bits(mask)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pick_matches_bits_on_random_masks(seed):
+    rng = random.Random(seed)
+    width = rng.randint(0, 300)
+    items = [f"i{k}" for k in range(width)]
+    for mask in (0, (1 << width) - 1, rng.getrandbits(width),
+                 rng.getrandbits(width) & rng.getrandbits(width)):
+        assert pick(items, mask) == pick_by_bits(items, mask)
+
+
+def test_pick_ignores_bits_past_the_items():
+    items = ["a", "b", "c"]
+    assert pick(items, 0b1111_0101) == pick_by_bits(items, 0b101) == ["a", "c"]
+    assert pick((), 0b11) == []
+
+
+def test_pick_matches_bits_on_an8_supports():
+    # the universal space of an:8 has 21,147 points: its 36 supports are
+    # the widest masks the CLI lists
+    sp = build_sp(enumerate_thick(builtin("an", 8)))
+    points = sp.space.points
+    assert len(points) == 21_147 and len(sp.sup) == 36
+    for mask in sp.sup:
+        assert pick(points, mask) == pick_by_bits(points, mask)

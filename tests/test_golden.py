@@ -16,14 +16,20 @@ The ``enumerate-*`` goldens and ``parser-contract.json`` were written by the
 CLI whose handlers each loaded the presentation and rendered their own
 output, before the handlers were reduced to one load-compute-render
 pipeline.
+
+``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
+support was listed bit by bit through ``bitsets.bits``; the 27 MB text
+itself is not checked in.
 """
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import thicklat.cli
 from thicklat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,3 +140,26 @@ def test_parser_contract_matches_golden():
     # argparse's help layout differs between Python versions
     recorded = json.loads((GOLDEN / "parser-contract.json").read_text())
     assert json.loads(json.dumps(parser_contract())) == recorded
+
+
+# (bytes, sha256) of the 36 supports over an:8's 21,147 points
+SPACE_AN8 = (27_442_017, "7aed45d1ad6b5d5759e069343b7119a196f8771682ff812865aea8b347cd1ca6")
+
+
+def test_space_an8_stdout_matches_recorded_digest(capsysbinary):
+    assert main(["space", "--builtin", "an:8"]) == 0
+    out = capsysbinary.readouterr().out
+    assert (len(out), hashlib.sha256(out).hexdigest()) == SPACE_AN8
+
+
+def test_reused_parser_carries_no_state(capsysbinary, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--bogus"])
+    assert exc.value.code == 2
+    capsysbinary.readouterr()
+    # the parser is built at most once per process: main must not build another
+    monkeypatch.setattr(thicklat.cli, "build_parser", None)
+    assert main(["enumerate", "--builtin", "a2"]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / "enumerate-a2.txt").read_bytes()
+    assert main(["lattice", "--builtin", "a2", "--json"]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / "lattice-a2.json").read_bytes()

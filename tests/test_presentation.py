@@ -95,6 +95,21 @@ def test_parse_tensor_asymmetric():
         parse_presentation(json.dumps(doc))
 
 
+def test_parse_tensor_symmetry_ignores_multiplicity():
+    # symmetry is of component supports: a+a and a have the same components
+    doc = {
+        "indecomposables": ["a", "b"],
+        "triangles": [],
+        "tensor": {
+            "unit": ["a"],
+            "table": {"a|a": ["a"], "a|b": ["a", "a"], "b|a": ["a"], "b|b": ["b"]},
+        },
+    }
+    tensor = parse_presentation(json.dumps(doc)).tensor
+    assert tensor.table[0][1] == (0, 0)
+    assert tensor.product_masks == ((0b01, 0b01), (0b01, 0b10))
+
+
 def test_parse_tensor_unknown_name_and_bad_key():
     base = {"indecomposables": ["a"], "triangles": []}
     with pytest.raises(ValidationError):

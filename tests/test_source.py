@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import thicklat
@@ -21,6 +22,23 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # the package declares dependencies = []
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_names_the_benchmark_traces_still_resolve():

@@ -14,7 +14,7 @@ from conftest import (
 from thicklat.bitsets import canonical_key, mask_of
 from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
 from thicklat.errors import NoTensor
-from thicklat.presentation import builtin, make_expr, parse_presentation
+from thicklat.presentation import TensorTable, builtin, make_expr, parse_presentation
 from thicklat.space import build_sp, check_support_datum, universal_morphism
 from thicklat.tensor import (
     comparison_map,
@@ -150,7 +150,7 @@ def test_supp_turns_products_into_intersections():
 
 def test_verify_tt_support_valid():
     for pres in TENSOR_BUILTINS:
-        report = verify_tt_support(primes(pres), pres)
+        report = verify_tt_support(primes(pres))
         assert report.valid
         assert report.unit_full
         assert report.product_violations == ()
@@ -161,7 +161,7 @@ def test_verify_tt_support_tampered_spectrum():
     genuine = primes(PRODUCT2)
     tampered_primes = tuple(sorted(genuine.primes + (0,), key=canonical_key))
     tampered = build_sp(ThickLattice(PRODUCT2, tampered_primes))
-    report = verify_tt_support(tampered, PRODUCT2)
+    report = verify_tt_support(tampered)
     assert not report.valid
     assert (0, 1) in report.product_violations  # pair (e1, e2)
 
@@ -170,8 +170,8 @@ def test_comparison_map_counts():
     for pres, spc, sp_count in ((PRODUCT2, 2, 4), (PRODUCT3, 3, 8), (POINT, 1, 2)):
         spectrum = primes(pres)
         lattice = enumerate_thick(pres)
-        morphism, report = comparison_map(spectrum, lattice)
-        assert (report.spectrum_points, report.universal_points) == (spc, sp_count)
+        morphism = comparison_map(spectrum, lattice)
+        assert (len(morphism.mapping), len(lattice)) == (spc, sp_count)
         assert len(set(morphism.mapping)) == len(morphism.mapping)  # injective
         position = lattice.position
         assert morphism.mapping == tuple(position[q] for q in spectrum.primes)
@@ -181,7 +181,7 @@ def test_comparison_map_pullback():
     for pres in TENSOR_BUILTINS:
         spectrum = primes(pres)
         sp = build_sp(enumerate_thick(pres))
-        morphism, _ = comparison_map(spectrum, sp.lattice)
+        morphism = comparison_map(spectrum, sp.lattice)
         for a in range(pres.size):
             assert preimage(morphism, sp.sup[a]) == spectrum.sup[a]
 
@@ -189,7 +189,7 @@ def test_comparison_map_pullback():
 def assert_comparison_is_universal(pres):
     spectrum = primes(pres)
     lattice = enumerate_thick(pres)
-    inclusion, _ = comparison_map(spectrum, lattice)
+    inclusion = comparison_map(spectrum, lattice)
     assert universal_morphism(spectrum.as_datum(), build_sp(lattice)) == inclusion
 
 
@@ -201,3 +201,27 @@ def test_comparison_map_is_the_universal_morphism_on_builtins(family, n):
 @pytest.mark.parametrize("seed", range(120))
 def test_comparison_map_is_the_universal_morphism_random(seed):
     assert_comparison_is_universal(random_tensor_presentation(seed))
+
+
+def masks_by_loop(table):
+    """Oracle: the component mask of every cell, and per column their union."""
+    n = len(table)
+    products = tuple(tuple(mask_of(table[x][y]) for y in range(n)) for x in range(n))
+    absorption = []
+    for x in range(n):
+        m = 0
+        for g in range(n):
+            m |= mask_of(table[g][x])
+        absorption.append(m)
+    return products, tuple(absorption)
+
+
+# built directly, since parsing rejects it: rows and columns differ
+ASYMMETRIC = TensorTable((0,), (((0,), (1,), ()), ((0, 0), (), (2,)), ((), (), (1, 2))))
+
+
+@pytest.mark.parametrize("tensor", [ASYMMETRIC, builtin("product", 5).tensor]
+                         + [pres.tensor for pres in TENSOR_BUILTINS]
+                         + [random_tensor_presentation(seed).tensor for seed in range(40)])
+def test_product_and_absorption_masks_match_the_table(tensor):
+    assert (tensor.product_masks, tensor.absorption_masks) == masks_by_loop(tensor.table)
