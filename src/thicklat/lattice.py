@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import bits
+from .bitsets import pick
 from .closure import ThickLattice, thick_closure
 from .errors import NotAnElement, TooLarge
 
@@ -163,7 +163,7 @@ def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
     out = []
     for e in elems:
         found = {lattice.position[thick_closure(pres, e | 1 << i, e)]
-                 for i in bits(pres.full_mask & ~e)}
+                 for i in pick(range(pres.size), pres.full_mask & ~e)}
         covers: list[int] = []
         for p in sorted(found):
             if not any(elems[q] & ~elems[p] == 0 for q in covers):

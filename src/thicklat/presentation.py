@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
-from .bitsets import bits, mask_of, pick
+from .bitsets import mask_of, pick
 from .errors import InvalidParameter, SchemaError, UnknownFamily, ValidationError
 
 ObjectExpr = tuple[int, ...]
@@ -114,7 +114,7 @@ class Presentation:
             for vertex, p, q in ((ma, mb, mc), (mb, mc, ma), (mc, ma, mb)):
                 if not p and not q:
                     forced |= vertex
-                for e in bits(vertex):
+                for e in pick(range(self.size), vertex):
                     touching[e].append((vertex & ~(1 << e), p, q))
         return RuleIndex(tuple(map(tuple, touching)), (0,) * self.size, forced)
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 
 from .bitsets import omitted, pick
 from .closure import ThickLattice
@@ -32,11 +33,12 @@ class FinSpace:
     """Finite space described by generators of its closed-set family.
 
     The closed family consists of the generators, the empty set, and the
-    whole space, closed under pairwise union and intersection. Membership
-    is decided without materializing the family: a candidate fails to be
-    closed exactly when it fits inside the union of generators avoiding
-    one of its points, and the smallest closed superset falls out of the
-    same characterization.
+    whole space, closed under pairwise union and intersection. Its members
+    are the unions of intersections of generators, so the smallest closed
+    set holding a point is its point closure: the intersection of the
+    generators through it, or the whole space when none is. The smallest
+    closed superset of a set is the union of its points' closures, and a
+    set is closed when that adds nothing; the family is never materialized.
     """
 
     points: tuple[str, ...]
@@ -55,30 +57,18 @@ class FinSpace:
         return (1 << len(self.points)) - 1
 
     @cached_property
-    def _avoiding_union(self) -> tuple[int, ...]:
-        """Per point x: the union of all generators that avoid x."""
-        out = []
-        for x in range(len(self.points)):
-            u = 0
-            for g in self.generators:
-                if not (g >> x) & 1:
-                    u |= g
-            out.append(u)
-        return tuple(out)
+    def _point_closures(self) -> tuple[int, ...]:
+        gens = self.generators
+        every = (1 << len(gens)) - 1
+        return tuple(reduce(and_, pick(gens, every ^ avoiding), self.full_mask)
+                     for avoiding in omitted(gens, len(self.points)))
 
     def closed_closure(self, mask: int) -> int:
         """Smallest closed superset of the given point set."""
-        if mask == 0:
-            return 0
-        avoid = self._avoiding_union
-        out = 0
-        for x in range(len(self.points)):
-            if mask & ~avoid[x]:
-                out |= 1 << x
-        return out
+        return reduce(or_, pick(self._point_closures, mask), 0)
 
     def is_closed(self, mask: int) -> bool:
-        return mask == 0 or self.closed_closure(mask) == mask
+        return self.closed_closure(mask) == mask
 
     def point_labels(self, mask: int) -> list[str]:
         return pick(self.points, mask)
@@ -346,8 +336,9 @@ def morphism_from_document(doc: object, datum: SupportDatum,
         if not isinstance(dest, str) or dest not in target_index:
             raise ValidationError(f"morphism target {dest!r} is not a point of the space")
         mapping.append(target_index[dest])
+    known = set(datum.space.points)
     for p in raw:
-        if p not in datum.space.points:
+        if p not in known:
             raise ValidationError(f"morphism names unknown source point {p!r}")
     return SupportMorphism(tuple(mapping))
 

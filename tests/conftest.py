@@ -2,7 +2,7 @@
 
 import random
 
-from thicklat.bitsets import canonical_key, mask_of
+from thicklat.bitsets import mask_of
 from thicklat.closure import ThickLattice, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.lattice import LatticeReport, LawWitness
@@ -29,6 +29,11 @@ def preimage(morphism, target_mask):
     return m
 
 
+def key_by_members(mask):
+    """Oracle canonical order: cardinality, then the tuple of members."""
+    return (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+
+
 def brute_force_thick(pres):
     """Oracle enumeration: sweep every subset, keep the closure fixed points."""
     n = pres.size
@@ -36,7 +41,7 @@ def brute_force_thick(pres):
         raise TooLarge(
             f"{n} indecomposables exceed the brute-force guard of {BRUTE_FORCE_LIMIT}")
     found = [s for s in range(1 << n) if thick_closure(pres, s) == s]
-    return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
+    return ThickLattice(pres, tuple(sorted(found, key=key_by_members)))
 
 
 def closed_sets(space, limit=DEFAULT_FAMILY_LIMIT):
@@ -57,6 +62,21 @@ def closed_sets(space, limit=DEFAULT_FAMILY_LIMIT):
                         raise TooLarge(f"closed family exceeds {limit} sets")
         members.append(w)
     return frozenset(seen)
+
+
+def closure_by_avoiding_union(space, mask):
+    """Oracle ``FinSpace`` closure: point x joins the closure of ``mask``
+    when some point of ``mask`` lies outside the union of the generators
+    that avoid x."""
+    out = 0
+    for x in range(len(space.points)):
+        avoiding = 0
+        for g in space.generators:
+            if not g >> x & 1:
+                avoiding |= g
+        if mask & ~avoiding:
+            out |= 1 << x
+    return out
 
 
 def random_presentation(seed, max_indecs=12, max_triangles=10):
@@ -153,7 +173,7 @@ def closed_by_sweep(pres, is_closed=triangle_rule_closed):
     """Oracle enumeration: every subset passing ``is_closed``, canonical order
     (n <= ~12)."""
     found = (s for s in range(1 << pres.size) if is_closed(pres, s))
-    return tuple(sorted(found, key=canonical_key))
+    return tuple(sorted(found, key=key_by_members))
 
 
 def closure_by_sweep(pres, subset, is_closed=triangle_rule_closed):

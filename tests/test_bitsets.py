@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from thicklat.bitsets import bits, omitted, pick
+from conftest import key_by_members
+from thicklat.bitsets import canonical_key, omitted, pick
 from thicklat.closure import enumerate_thick
 from thicklat.presentation import builtin
 from thicklat.space import build_sp
@@ -46,8 +47,13 @@ def test_omitted_matches_loop_on_wide_rows():
 
 
 def pick_by_bits(items, mask):
-    """Oracle: index the items at the bits that ``bits`` yields."""
-    return [items[i] for i in bits(mask)]
+    """Oracle: index the items at the set bits, one low bit per step."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -64,13 +70,59 @@ def test_pick_ignores_bits_past_the_items():
     items = ["a", "b", "c"]
     assert pick(items, 0b1111_0101) == pick_by_bits(items, 0b101) == ["a", "c"]
     assert pick((), 0b11) == []
+    assert pick(range(5), 0b10110) == [1, 2, 4]
 
 
-def test_pick_matches_bits_on_an8_supports():
+@pytest.fixture(scope="module")
+def an8():
+    return enumerate_thick(builtin("an", 8))
+
+
+def test_pick_matches_bits_on_an8_supports(an8):
     # the universal space of an:8 has 21,147 points: its 36 supports are
     # the widest masks the CLI lists
-    sp = build_sp(enumerate_thick(builtin("an", 8)))
+    sp = build_sp(an8)
     points = sp.space.points
     assert len(points) == 21_147 and len(sp.sup) == 36
     for mask in sp.sup:
         assert pick(points, mask) == pick_by_bits(points, mask)
+
+
+def sorted_both_ways(masks):
+    return sorted(masks, key=canonical_key), sorted(masks, key=key_by_members)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_canonical_key_sorts_like_member_tuples_on_random_masks(seed):
+    rng = random.Random(seed)
+    width = rng.randint(0, 300)
+    masks = [0, (1 << width) - 1]
+    masks += [rng.getrandbits(rng.randint(0, width)) for _ in range(20)]
+    # sets of one size, narrower and wider ones mixed, and pairs that differ
+    # by moving one member
+    for size in {rng.randint(0, width) for _ in range(3)}:
+        for _ in range(10):
+            members = rng.sample(range(width), size)
+            masks.append(sum(1 << i for i in members))
+            if 0 < size < width:
+                out = rng.choice([i for i in range(width) if i not in members])
+                masks.append(masks[-1] ^ 1 << members[0] ^ 1 << out)
+    rng.shuffle(masks)
+    by_key, by_members = sorted_both_ways(masks)
+    assert by_key == by_members
+
+
+def test_canonical_key_sorts_every_narrow_mask_like_member_tuples():
+    masks = list(range(1 << 10))
+    random.Random(10).shuffle(masks)
+    by_key, by_members = sorted_both_ways(masks)
+    assert by_key == by_members
+
+
+@pytest.mark.parametrize("family, k", [("an", 8), ("product", 12)])
+def test_canonical_key_sorts_builtin_lattices_like_member_tuples(an8, family, k):
+    lattice = an8 if family == "an" else enumerate_thick(builtin(family, k))
+    elems = list(lattice.elements)
+    random.Random(k).shuffle(elems)
+    by_key, by_members = sorted_both_ways(elems)
+    assert by_key == by_members == list(lattice.elements)

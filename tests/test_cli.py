@@ -326,8 +326,26 @@ VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
     max_leaves=8)
-PRESENTATIONS = st.fixed_dictionaries(
-    {"indecomposables": st.lists(NAMES, max_size=3), "triangles": st.just([]) | VALUES})
+
+
+def _with_tensor(names):
+    """Presentation documents over valid ``names`` with a tensor object: a
+    unit and a table keyed "A|B" over the names, whose cells list names or
+    are any value."""
+    expr = st.lists(st.sampled_from(names), max_size=2) if names else st.just([])
+    expr |= st.lists(NAMES, max_size=2)
+    table = st.fixed_dictionaries({f"{a}|{b}": expr | VALUES for a in names for b in names})
+    tensor = st.fixed_dictionaries({"unit": expr, "table": table | VALUES})
+    return st.fixed_dictionaries(
+        {"indecomposables": st.just(names), "triangles": st.just([]), "tensor": tensor})
+
+
+# presentations without a tensor, and with one over valid names, so that the
+# draws get as far as the table
+PRESENTATIONS = st.one_of(
+    st.fixed_dictionaries({"indecomposables": st.lists(NAMES, max_size=3),
+                           "triangles": st.just([]) | VALUES}),
+    st.lists(st.sampled_from(["a", "b", "\xe9"]), max_size=3, unique=True).flatmap(_with_tensor))
 AN3 = builtin("an", 3)
 AN3_DATA = st.fixed_dictionaries({
     "points": st.lists(NAMES, max_size=3),
@@ -364,11 +382,13 @@ def documents(shaped):
 
 
 @FUZZ
-@given(doc=documents(PRESENTATIONS), flags=st.sampled_from([[], ["--json"]]))
-def test_main_survives_any_presentation_document(capsysbinary, tmp_path, doc, flags):
+@given(doc=documents(PRESENTATIONS),
+       command=st.sampled_from(["enumerate", "lattice", "space", "spectrum", "compare"]),
+       flags=st.sampled_from([[], ["--json"]]))
+def test_main_survives_any_presentation_document(capsysbinary, tmp_path, doc, command, flags):
     path = tmp_path / "presentation.json"
     path.write_bytes(doc)
-    assert main(["enumerate", "--input", str(path), *flags]) in (0, 1, 2)
+    assert main([command, "--input", str(path), *flags]) in (0, 1, 2)
     capsysbinary.readouterr()
 
 

@@ -18,7 +18,7 @@ output, before the handlers were reduced to one load-compute-render
 pipeline.
 
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
-support was listed bit by bit through ``bitsets.bits``; the 27 MB text
+support was listed by a loop taking one low bit per step; the 27 MB text
 itself is not checked in.
 """
 

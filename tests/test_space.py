@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import closed_sets, preimage
+from conftest import closed_sets, closure_by_avoiding_union, preimage
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick
 from thicklat.errors import InvalidParameter, NotThick, ValidationError
@@ -78,6 +78,28 @@ def test_finspace_closure_is_smallest_closed_superset(seed):
             if mask & ~c == 0:
                 expected &= c
         assert closed == expected
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_finspace_closure_matches_avoiding_unions_on_wide_spaces(seed):
+    # up to 200 points, too many for closed_sets; some points lie in no
+    # generator, and the raw generators hold zeros and duplicates
+    rng = random.Random(seed)
+    n = rng.randint(0, 200)
+    covered = rng.getrandbits(n) | rng.getrandbits(n)
+    gens = [rng.getrandbits(n) & rng.getrandbits(n) & covered
+            for _ in range(rng.randint(0, 12))]
+    gens += [0, *rng.sample(gens, min(len(gens), 3))]
+    points = [f"p{i}" for i in range(n)]
+    full = (1 << n) - 1
+    singles = [1 << x for x in rng.sample(range(n), min(n, 5))]
+    for space in (FinSpace(tuple(points), tuple(gens)), FinSpace.generate(points, gens)):
+        for mask in (0, full, full & ~covered, *singles, *space.generators,
+                     *(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(8))):
+            closed = closure_by_avoiding_union(space, mask)
+            assert space.closed_closure(mask) == closed
+            assert space.is_closed(mask) == (closed == mask)
+            assert space.is_closed(closed)
 
 
 def test_finspace_no_generators():
