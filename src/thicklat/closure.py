@@ -111,7 +111,10 @@ class ThickLattice:
     subsets, all thick ideals, or the prime ideals.
 
     Canonical order sorts by cardinality with ties broken by the member
-    sequence, so positions and serialized listings are byte-stable.
+    sequence, so positions and serialized listings are byte-stable. The
+    lattice operations in ``lattice`` (joins, covers, ``analyze``,
+    ``export_dot``) close with ``thick_closure``, so they assume a family
+    closed under it and raise ``NotAnElement`` where a closure falls outside.
     """
 
     presentation: Presentation

@@ -20,10 +20,12 @@ def meet(lattice: ThickLattice, j: int, k: int) -> int:
 
 
 def join(lattice: ThickLattice, j: int, k: int) -> int:
-    """Closure of the union."""
+    """Closure of the union, which must itself be an element."""
     _position(lattice, j, "left operand")
     _position(lattice, k, "right operand")
-    return _join(lattice.presentation, j, k)
+    got = _join(lattice.presentation, j, k)
+    _position(lattice, got, "join")
+    return got
 
 
 def _join(pres, j: int, k: int) -> int:
@@ -72,6 +74,10 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
     its number of join-irreducibles, the elements with one lower cover. A law
     that fails gets its first witness in canonical (x, y, z) order, from a
     sweep that skips the triples satisfying it by an identity.
+
+    Covers and joins are thick closures, so the family must be closed under
+    ``thick_closure``; a closure that is not an element raises
+    ``NotAnElement``, and an answer that is given is exact.
     """
     n = len(lattice.elements)
     if n > max_size:
@@ -90,6 +96,9 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
     distributive = modular and sum(len(d) == 1 for d in down) == height
     memo: dict[tuple[int, int], int] = {}
 
+    # _upper_covers found every cover closure to be an element, so every join
+    # is one: adding the second operand one indecomposable at a time climbs
+    # through cover closures
     def jn(a: int, b: int) -> int:
         key = (a, b) if a <= b else (b, a)
         got = memo.get(key)
@@ -162,8 +171,12 @@ def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
     pres = lattice.presentation
     out = []
     for e in elems:
-        found = {lattice.position[thick_closure(pres, e | 1 << i, e)]
-                 for i in pick(range(pres.size), pres.full_mask & ~e)}
+        try:
+            found = {lattice.position[thick_closure(pres, e | 1 << i, e)]
+                     for i in pick(range(pres.size), pres.full_mask & ~e)}
+        except KeyError as exc:
+            raise NotAnElement(
+                f"closure {pres.label(exc.args[0])} is not a lattice element") from None
         covers: list[int] = []
         for p in sorted(found):
             if not any(elems[q] & ~elems[p] == 0 for q in covers):

@@ -12,9 +12,10 @@ fully validated; direct construction trusts the caller.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import or_
 
 from .bitsets import mask_of, pick
@@ -132,20 +133,17 @@ class Presentation:
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the canonical JSON document into a validated Presentation."""
-    try:
-        doc = json.loads(text)
-    # ValueError also covers over-long integers; RecursionError, deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return presentation_from_document(doc)
+    return presentation_from_document(_decode_json(text, "presentation"))
 
 
 def presentation_from_document(doc: object) -> Presentation:
-    if not isinstance(doc, dict):
-        raise SchemaError("presentation document must be a JSON object")
     _require_keys(doc, {"indecomposables", "triangles", "tensor"},
                   {"indecomposables", "triangles"}, "presentation")
-    names = _parse_names(doc["indecomposables"])
+    names = _parse_names(doc["indecomposables"], "indecomposables")
+    for name in names:
+        if NAME_SEPARATOR in name:
+            raise ValidationError(
+                f"indecomposables: name {name!r} contains the reserved {NAME_SEPARATOR!r}")
     index = {name: i for i, name in enumerate(names)}
     raw_triangles = doc["triangles"]
     if not isinstance(raw_triangles, list):
@@ -184,7 +182,23 @@ def serialize_presentation(pres: Presentation) -> str:
     return json.dumps(presentation_to_document(pres), indent=2) + "\n"
 
 
-def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
+# The readers below serve every document: presentations here, support data
+# and morphisms in ``space``, and the files the CLI reads.
+
+
+def _decode_json(text: str, where: str) -> object:
+    try:
+        return json.loads(text)
+    # ValueError also covers over-long integers; RecursionError, deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def _require_keys(doc: object, allowed: set, required: set, where: str) -> None:
+    """A JSON object with no key outside ``allowed`` and every key of
+    ``required``; the shape of its values is the caller's to check."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be a JSON object")
     extra = set(doc) - allowed
     if extra:
         raise SchemaError(f"{where}: unexpected keys {sorted(extra)}")
@@ -193,64 +207,71 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
-def utf8_encodable(name: str) -> bool:
-    """False if ``name`` holds a lone surrogate: JSON can spell it, UTF-8 cannot."""
-    return not any("\ud800" <= ch <= "\udfff" for ch in name)
+def _values(raw: object, keys: Sequence[str], where: str) -> list:
+    """The values of a JSON object that names every key of ``keys`` and no
+    other, in the order of ``keys``."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    known = set(keys)
+    for key in raw:
+        if key not in known:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+    for key in keys:
+        if key not in raw:
+            raise ValidationError(f"{where}: missing key {key!r}")
+    return [raw[key] for key in keys]
 
 
-def _parse_names(raw: object) -> tuple[str, ...]:
-    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise SchemaError("indecomposables must be a list of strings")
+def _is_name_list(raw: object) -> bool:
+    return isinstance(raw, list) and all(map(isinstance, raw, repeat(str)))
+
+
+def _parse_names(raw: object, where: str) -> tuple[str, ...]:
+    """A list of distinct non-empty names that UTF-8 can spell: JSON can
+    write a lone surrogate, UTF-8 output cannot."""
+    if not _is_name_list(raw):
+        raise SchemaError(f"{where} must be a list of strings")
     seen = set()
     for name in raw:
         if not name:
-            raise ValidationError("indecomposable names must be non-empty")
-        if not utf8_encodable(name):
-            raise ValidationError(f"indecomposable name {name!r} is not valid UTF-8")
-        if NAME_SEPARATOR in name:
-            raise ValidationError(
-                f"indecomposable name {name!r} contains the reserved {NAME_SEPARATOR!r}")
+            raise ValidationError(f"{where}: names must be non-empty")
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"{where}: name {name!r} is not valid UTF-8") from None
         if name in seen:
-            raise ValidationError(f"duplicate indecomposable name {name!r}")
+            raise ValidationError(f"{where}: duplicate name {name!r}")
         seen.add(name)
     return tuple(raw)
 
 
+def _members(raw: object, index: dict[str, int], where: str) -> list[int]:
+    """Indices of a list of names, each one a key of ``index``."""
+    if not _is_name_list(raw):
+        raise SchemaError(f"{where}: expected a list of names")
+    try:
+        return [index[name] for name in raw]
+    except KeyError as exc:
+        raise ValidationError(f"{where}: unknown name {exc.args[0]!r}") from None
+
+
 def _parse_expr(raw: object, index: dict[str, int], where: str) -> ObjectExpr:
-    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise SchemaError(f"{where}: object expression must be a list of names")
-    out = []
-    for name in raw:
-        if name not in index:
-            raise ValidationError(f"{where}: unknown indecomposable {name!r}")
-        out.append(index[name])
-    return make_expr(out)
+    return make_expr(_members(raw, index, where))
 
 
 def _parse_tensor(raw: object, names: tuple[str, ...], index: dict[str, int]) -> TensorTable:
-    if not isinstance(raw, dict):
-        raise SchemaError("tensor must be a JSON object")
     _require_keys(raw, {"unit", "table"}, {"unit", "table"}, "tensor")
     unit = _parse_expr(raw["unit"], index, "tensor unit")
-    table_raw = raw["table"]
-    if not isinstance(table_raw, dict):
-        raise SchemaError("tensor table must be a JSON object")
+    table = raw["table"]
+    if isinstance(table, dict):
+        for key in table:
+            if not isinstance(key, str) or key.count(NAME_SEPARATOR) != 1:
+                raise SchemaError(f"tensor table key {key!r} must look like 'A{NAME_SEPARATOR}B'")
+    pairs = [f"{x}{NAME_SEPARATOR}{y}" for x in names for y in names]
+    cells = [_parse_expr(value, index, f"tensor table {key!r}")
+             for key, value in zip(pairs, _values(table, pairs, "tensor table"))]
     n = len(names)
-    cells: list[list[ObjectExpr | None]] = [[None] * n for _ in range(n)]
-    for key, value in table_raw.items():
-        if not isinstance(key, str) or key.count(NAME_SEPARATOR) != 1:
-            raise SchemaError(f"tensor table key {key!r} must look like 'A{NAME_SEPARATOR}B'")
-        left, right = key.split(NAME_SEPARATOR)
-        for part in (left, right):
-            if part not in index:
-                raise ValidationError(f"tensor table: unknown indecomposable {part!r}")
-        cells[index[left]][index[right]] = _parse_expr(value, index, f"tensor table {key!r}")
-    for x in range(n):
-        for y in range(n):
-            if cells[x][y] is None:
-                raise ValidationError(
-                    f"tensor table is missing the pair {names[x]}{NAME_SEPARATOR}{names[y]}")
-    tensor = TensorTable(unit, tuple(tuple(row) for row in cells))
+    tensor = TensorTable(unit, tuple(tuple(cells[x * n:x * n + n]) for x in range(n)))
     masks = tensor.product_masks
     for x in range(n):
         for y in range(x + 1, n):

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .bitsets import omitted, pick
+from .bitsets import mask_of, omitted, pick
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
-from .presentation import ObjectExpr, Presentation, utf8_encodable
+from .presentation import ObjectExpr, Presentation, _members, _parse_names, _require_keys, _values
 
 
 @dataclass(frozen=True)
@@ -261,54 +261,18 @@ def datum_from_document(doc: object, pres: Presentation) -> SupportDatum:
     ``closed`` is optional; when present its sets generate the closed
     family, otherwise the family is generated from the supports themselves.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("support datum document must be a JSON object")
-    extra = set(doc) - {"points", "closed", "sigma"}
-    if extra:
-        raise SchemaError(f"support datum: unexpected keys {sorted(extra)}")
-    if "points" not in doc or "sigma" not in doc:
-        raise SchemaError("support datum needs 'points' and 'sigma'")
-    raw_points = doc["points"]
-    if not isinstance(raw_points, list) or not all(isinstance(p, str) and p for p in raw_points):
-        raise SchemaError("points must be a list of non-empty strings")
-    if len(set(raw_points)) != len(raw_points):
-        raise ValidationError("point names must be unique")
-    if not all(map(utf8_encodable, raw_points)):
-        raise ValidationError("point names must be valid UTF-8")
-    points = tuple(raw_points)
-    point_index = {p: i for i, p in enumerate(points)}
-
-    def point_mask(raw: object, where: str) -> int:
-        if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-            raise SchemaError(f"{where}: expected a list of point names")
-        m = 0
-        for p in raw:
-            if p not in point_index:
-                raise ValidationError(f"{where}: unknown point {p!r}")
-            m |= 1 << point_index[p]
-        return m
-
-    raw_sigma = doc["sigma"]
-    if not isinstance(raw_sigma, dict):
-        raise SchemaError("sigma must be a JSON object")
-    for name in raw_sigma:
-        if name not in pres.index:
-            raise ValidationError(f"sigma: unknown indecomposable {name!r}")
-    sigma = []
-    for name in pres.names:
-        if name not in raw_sigma:
-            raise ValidationError(f"sigma is missing indecomposable {name!r}")
-        sigma.append(point_mask(raw_sigma[name], f"sigma[{name}]"))
-
+    _require_keys(doc, {"points", "closed", "sigma"}, {"points", "sigma"}, "support datum")
+    points = _parse_names(doc["points"], "points")
+    index = {p: i for i, p in enumerate(points)}
+    sigma = tuple(mask_of(_members(raw, index, f"sigma[{name}]"))
+                  for name, raw in zip(pres.names, _values(doc["sigma"], pres.names, "sigma")))
+    gens = sigma
     if doc.get("closed") is not None:
         raw_closed = doc["closed"]
         if not isinstance(raw_closed, list):
             raise SchemaError("closed must be a list of point lists")
-        gens = [point_mask(c, f"closed[{i}]") for i, c in enumerate(raw_closed)]
-    else:
-        gens = list(sigma)
-    space = FinSpace.generate(points, gens)
-    return SupportDatum(space, tuple(sigma))
+        gens = [mask_of(_members(c, index, f"closed[{i}]")) for i, c in enumerate(raw_closed)]
+    return SupportDatum(FinSpace.generate(points, gens), sigma)
 
 
 def datum_to_document(datum: SupportDatum, pres: Presentation) -> dict:
@@ -324,22 +288,13 @@ def datum_to_document(datum: SupportDatum, pres: Presentation) -> dict:
 
 def morphism_from_document(doc: object, datum: SupportDatum,
                            sp: SupportSpace) -> SupportMorphism:
-    if not isinstance(doc, dict) or set(doc) != {"map"} or not isinstance(doc["map"], dict):
-        raise SchemaError("morphism document must be {\"map\": {...}}")
-    raw = doc["map"]
+    _require_keys(doc, {"map"}, {"map"}, "morphism")
     target_index = {p: i for i, p in enumerate(sp.space.points)}
     mapping = []
-    for p in datum.space.points:
-        if p not in raw:
-            raise ValidationError(f"morphism is missing source point {p!r}")
-        dest = raw[p]
+    for dest in _values(doc["map"], datum.space.points, "map"):
         if not isinstance(dest, str) or dest not in target_index:
-            raise ValidationError(f"morphism target {dest!r} is not a point of the space")
+            raise ValidationError(f"map: target {dest!r} is not a point of the space")
         mapping.append(target_index[dest])
-    known = set(datum.space.points)
-    for p in raw:
-        if p not in known:
-            raise ValidationError(f"morphism names unknown source point {p!r}")
     return SupportMorphism(tuple(mapping))
 
 

@@ -20,6 +20,14 @@ def object_in(thick, expr):
     return mask_of(expr) & ~thick == 0
 
 
+def mask_by_loop(indices):
+    """Oracle mask build: OR in one bit per index."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
 def preimage(morphism, target_mask):
     """Oracle pullback: the source points whose target lies in the mask."""
     m = 0

@@ -2,11 +2,29 @@ import random
 
 import pytest
 
-from conftest import key_by_members
-from thicklat.bitsets import canonical_key, omitted, pick
+from conftest import key_by_members, mask_by_loop
+from thicklat.bitsets import canonical_key, mask_of, omitted, pick
 from thicklat.closure import enumerate_thick
 from thicklat.presentation import builtin
 from thicklat.space import build_sp
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mask_of_matches_loop_on_random_indices(seed):
+    rng = random.Random(seed)
+    width = rng.choice([1, 2, 64, 1_000, 100_000])
+    indices = [rng.randrange(width) for _ in range(rng.randint(0, min(width, 5_000)))]
+    indices += rng.sample(indices, len(indices) // 3)  # repeats, out of order
+    rng.shuffle(indices)
+    assert mask_of(indices) == mask_by_loop(indices)
+    assert mask_of(iter(indices)) == mask_of(sorted(indices))
+
+
+@pytest.mark.parametrize("indices", [
+    [], [0], [0, 0], [5, 1, 5], [99_999], list(range(100_000)), range(0, 100_000, 7),
+])
+def test_mask_of_edge_cases(indices):
+    assert mask_of(indices) == mask_by_loop(indices)
 
 
 def omitted_by_loop(rows, width):

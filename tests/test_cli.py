@@ -6,8 +6,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from thicklat.cli import main
 from thicklat.closure import enumerate_thick
-from thicklat.presentation import builtin
-from thicklat.space import build_sp, datum_to_document, random_support_datum
+from thicklat.errors import SchemaError, ValidationError
+from thicklat.presentation import builtin, parse_presentation
+from thicklat.space import (
+    build_sp,
+    datum_from_document,
+    datum_to_document,
+    morphism_from_document,
+    morphism_to_document,
+    random_support_datum,
+    universal_morphism,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -302,6 +311,103 @@ def test_lone_surrogate_names_exit_2(capsys, tmp_path, argv, doc):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+# One table of malformed shapes for every document reader. Each row names
+# the document part its error line must name and the error class the
+# library raises. Decoded JSON objects hold each key once, so a morphism,
+# which has no name list, has no duplicate row.
+TENSOR_A = {"indecomposables": ["a", "b"], "triangles": [[["a"], ["b"], []]],
+            "tensor": {"unit": ["a", "b"],
+                       "table": {"a|a": ["a"], "a|b": [], "b|a": [], "b|b": ["b"]}}}
+A2 = builtin("a2")
+A2_SP = build_sp(enumerate_thick(A2))
+A2_POINTS = random_support_datum(A2_SP, 2, seed=0)
+A2_MAP = morphism_to_document(universal_morphism(A2_POINTS, A2_SP), A2_POINTS, A2_SP)["map"]
+
+
+def _table(**cells):
+    return {**TENSOR_A, "tensor": {**TENSOR_A["tensor"], "table": cells}}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+READER_CASES = [
+    ("presentation", "wrong-container", {**TENSOR_A, "indecomposables": "a"},
+     SchemaError, "indecomposables"),
+    ("presentation", "non-string", {**TENSOR_A, "indecomposables": ["a", 1]},
+     SchemaError, "indecomposables"),
+    ("presentation", "empty-name", {**TENSOR_A, "indecomposables": ["a", "b", ""]},
+     ValidationError, "indecomposables"),
+    ("presentation", "duplicate", {**TENSOR_A, "indecomposables": ["a", "b", "a"]},
+     ValidationError, "indecomposables"),
+    ("presentation", "lone-surrogate", {**TENSOR_A, "indecomposables": ["a", "b", "\ud800"]},
+     ValidationError, "indecomposables"),
+    ("presentation", "unknown-name", {**TENSOR_A, "triangles": [[["a"], ["z"], []]]},
+     ValidationError, "triangle 0"),
+    ("presentation", "extra-key", {**TENSOR_A, "extra": []}, SchemaError, "presentation"),
+    ("presentation", "missing-key", _without(TENSOR_A, "triangles"),
+     SchemaError, "presentation"),
+    ("presentation", "extra-entry", _table(**TENSOR_A["tensor"]["table"], **{"a|z": []}),
+     ValidationError, "tensor table"),
+    ("presentation", "missing-entry", _table(**_without(TENSOR_A["tensor"]["table"], "b|a")),
+     ValidationError, "tensor table"),
+    ("datum", "wrong-container", {**A2_DATUM, "points": "u"}, SchemaError, "points"),
+    ("datum", "non-string", {**A2_DATUM, "points": ["u", None]}, SchemaError, "points"),
+    ("datum", "empty-name", {**A2_DATUM, "points": ["u", ""]}, ValidationError, "points"),
+    ("datum", "duplicate", {**A2_DATUM, "points": ["u", "u"]}, ValidationError, "points"),
+    ("datum", "lone-surrogate", {**A2_DATUM, "points": ["u", "\udfff"]},
+     ValidationError, "points"),
+    ("datum", "unknown-name", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "P1": ["w"]}},
+     ValidationError, "sigma[P1]"),
+    ("datum", "extra-key", {**A2_DATUM, "extra": []}, SchemaError, "support datum"),
+    ("datum", "missing-key", _without(A2_DATUM, "sigma"), SchemaError, "support datum"),
+    ("datum", "extra-entry", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "Z": []}},
+     ValidationError, "sigma"),
+    ("datum", "missing-entry", {**A2_DATUM, "sigma": _without(A2_DATUM["sigma"], "S2")},
+     ValidationError, "sigma"),
+    ("morphism", "wrong-container", {"map": list(A2_MAP)}, SchemaError, "map"),
+    ("morphism", "non-string", {"map": {**A2_MAP, "x0": 0}}, ValidationError, "map"),
+    ("morphism", "empty-name", {"map": {**A2_MAP, "x0": ""}}, ValidationError, "map"),
+    ("morphism", "lone-surrogate", {"map": {**A2_MAP, "x0": "\ud800"}},
+     ValidationError, "map"),
+    ("morphism", "unknown-name", {"map": {**A2_MAP, "x0": "{Z}"}}, ValidationError, "map"),
+    ("morphism", "extra-key", {"map": A2_MAP, "extra": []}, SchemaError, "morphism"),
+    ("morphism", "missing-key", {}, SchemaError, "morphism"),
+    ("morphism", "extra-entry", {"map": {**A2_MAP, "y": "{}"}}, ValidationError, "map"),
+    ("morphism", "missing-entry", {"map": _without(A2_MAP, "x1")}, ValidationError, "map"),
+]
+
+
+def _read_library(reader, doc):
+    if reader == "presentation":
+        return parse_presentation(json.dumps(doc))
+    if reader == "datum":
+        return datum_from_document(doc, A2)
+    return morphism_from_document(doc, A2_POINTS, A2_SP)
+
+
+@pytest.mark.parametrize("reader,shape,doc,error,part", READER_CASES,
+                         ids=[f"{reader}-{shape}" for reader, shape, *_ in READER_CASES])
+def test_every_reader_rejects_each_malformed_shape(capsys, tmp_path, reader, shape, doc,
+                                                   error, part):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(datum_to_document(A2_POINTS, A2)), encoding="utf-8")
+    argv = {
+        "presentation": ["enumerate", "--input", str(path)],
+        "datum": ["check", "--builtin", "a2", "--datum", str(path)],
+        "morphism": ["map", "--builtin", "a2", "--datum", str(datum), "--morphism", str(path)],
+    }[reader]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and part in err
+    with pytest.raises(error) as exc:
+        _read_library(reader, doc)
+    assert type(exc.value) is error
 
 
 def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):

@@ -3,13 +3,14 @@ from functools import reduce
 
 import pytest
 
-from conftest import random_presentation, report_by_sweep
+from conftest import random_presentation, random_tensor_presentation, report_by_sweep
 from thicklat import lattice
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick, thick_closure
 from thicklat.errors import NotAnElement, TooLarge
 from thicklat.lattice import analyze, covering_pairs, export_dot, join, meet
 from thicklat.presentation import Presentation, Triangle, builtin
+from thicklat.tensor import enumerate_ideals
 
 A2 = builtin("a2")
 A2_LAT = enumerate_thick(A2)
@@ -202,19 +203,57 @@ def test_covering_pairs_a2():
     assert pairs == [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
 
 
+def covers_by_definition(elems):
+    """Oracle Hasse edges: position pairs e < f with no element strictly between."""
+    return sorted(
+        (i, j) for i, e in enumerate(elems) for j, f in enumerate(elems)
+        if e != f and e & ~f == 0 and not any(
+            m != e and m != f and e & ~m == 0 and m & ~f == 0 for m in elems))
+
+
 def test_covers_match_order_theoretic_definition():
     for seed in range(15):
         pres = random_presentation(seed, max_indecs=6, max_triangles=5)
         lat = enumerate_thick(pres)
-        elems = lat.elements
-        expected = []
-        for i, e in enumerate(elems):
-            for j, f in enumerate(elems):
-                if e != f and e & ~f == 0 and not any(
-                        m != e and m != f and e & ~m == 0 and m & ~f == 0
-                        for m in elems):
-                    expected.append((i, j))
-        assert sorted(covering_pairs(lat)) == sorted(expected)
+        assert sorted(covering_pairs(lat)) == covers_by_definition(lat.elements)
+
+
+def test_operations_on_ideal_lattices_answer_exactly_or_refuse():
+    # joins and covers are thick closures, and an ideal family need not be
+    # closed under thick_closure: every call either answers exactly or raises
+    # NotAnElement, never a KeyError or a set outside the family
+    outcomes = set()
+    for seed in range(200):
+        lat = enumerate_ideals(random_tensor_presentation(seed))
+        try:
+            pairs = covering_pairs(lat)
+        except NotAnElement:
+            pairs = None
+        else:
+            assert sorted(pairs) == covers_by_definition(lat.elements)
+        for operation in (analyze, export_dot):
+            try:
+                operation(lat)
+            except NotAnElement:
+                assert pairs is None
+            else:
+                assert pairs is not None
+        join_refused = False
+        for j in lat.elements:
+            for k in lat.elements:
+                try:
+                    got = join(lat, j, k)
+                except NotAnElement:
+                    join_refused = True
+                    continue
+                assert got == join_oracle(lat, j, k)
+        # when every cover closure is an element, so is every join: analyze
+        # checks only the covers
+        assert pairs is None or not join_refused
+        if pairs is not None:
+            assert analyze(lat) == report_by_sweep(lat)
+        outcomes.add((pairs is not None, join_refused))
+    assert {(True, False), (False, True)} <= outcomes
 
 
 SMALL_BUILTINS = [("point", None), ("a2", None), ("an", 3), ("an", 4)]

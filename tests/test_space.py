@@ -243,6 +243,32 @@ def test_check_morphism_continuity_failure():
     assert report.continuity_failure == "preimage of sup(a)"
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_morphism_never_fails_continuity_on_valid_data(n):
+    # a valid datum's supports are closed, so once a pullback equals one it
+    # is closed too: on valid data only the pullback check can say no
+    pres = builtin("an", n)
+    sp = build_sp(enumerate_thick(pres))
+    rng = random.Random(n)
+    verdicts = set()
+    for seed in range(100):
+        pulled = random_support_datum(sp, rng.randint(0, 8), seed)
+        width = len(pulled.space.points)
+        # extra closed sets make the family finer, so the supports stay closed
+        extra = [rng.getrandbits(width) for _ in range(rng.randint(0, 3))]
+        space = FinSpace.generate(pulled.space.points, pulled.space.generators + tuple(extra))
+        datum = SupportDatum(space, pulled.sigma)
+        assert check_support_datum(datum, pres).valid
+        mapping = list(pulled.origin_map)
+        for x in rng.sample(range(width), rng.randint(0, width)):
+            mapping[x] = rng.randrange(len(sp.lattice))
+        doc = morphism_to_document(SupportMorphism(tuple(mapping)), datum, sp)
+        report = check_morphism(datum, sp, morphism_from_document(doc, datum, sp))
+        assert report.continuity_failure is None
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
 def test_check_morphism_validates_shape():
     with pytest.raises(InvalidParameter):
         check_morphism(A2_SP.as_datum(), A2_SP, SupportMorphism((0,)))
