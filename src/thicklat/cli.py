@@ -7,6 +7,11 @@ morphism check said no), 2 usage or input errors.
 A handler builds only the output that was asked for and returns it with the
 exit status: a JSON document as a ``dict``, text as a list of lines, or a
 ``str`` written as it is. ``main`` renders and writes it.
+
+JSON documents are rendered by ``_render``, which writes the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``: before Python 3.13 the C
+encoder refuses ``indent``, and ``json.dumps`` falls back to a pure-Python
+generator that costs as much as enumeration on the largest documents.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .bitsets import pick
@@ -104,7 +111,33 @@ def _load_json(path: str) -> object:
 
 
 def _json_text(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # drop this check and _render once requires-python reaches 3.13
+    if sys.version_info >= (3, 13):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _render(doc, "\n") + "\n"
+
+
+def _render(obj: object, newline: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for an ``obj`` at the
+    indentation that ``newline`` (a newline and spaces) starts."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # a list of names is joined in one C-level pass
+        if all(map(isinstance, obj, repeat(str))):
+            items = map(_quote, obj)
+        else:
+            items = map(_render, obj, repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    return json.dumps(obj)
 
 
 # --------------------------------------------------------------------------
@@ -332,12 +365,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         out, status = args.run(_load_presentation(args), args)
+        if isinstance(out, dict):
+            out = _json_text(out)
+        elif not isinstance(out, str):
+            out = "\n".join(out) + "\n"
     except ThickLatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    if isinstance(out, dict):
-        out = _json_text(out)
-    elif not isinstance(out, str):
-        out = "\n".join(out) + "\n"
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_ERROR
     _emit(out)
     return status

@@ -12,6 +12,7 @@ fully validated; direct construction trusts the caller.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -187,8 +188,16 @@ def serialize_presentation(pres: Presentation) -> str:
 
 
 def _decode_json(text: str, where: str) -> object:
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # json.loads alone keeps the last of two equal keys without a word
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise SchemaError(f"{where}: repeated key {key!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     # ValueError also covers over-long integers; RecursionError, deep nesting
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc

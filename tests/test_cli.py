@@ -4,10 +4,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thicklat.cli import main
+from thicklat.cli import _json_text, _load_presentation, _parser, _render, main
 from thicklat.closure import enumerate_thick
 from thicklat.errors import SchemaError, ValidationError
-from thicklat.presentation import builtin, parse_presentation
+from thicklat.presentation import _decode_json, builtin, parse_presentation
 from thicklat.space import (
     build_sp,
     datum_from_document,
@@ -315,8 +315,8 @@ def test_lone_surrogate_names_exit_2(capsys, tmp_path, argv, doc):
 
 # One table of malformed shapes for every document reader. Each row names
 # the document part its error line must name and the error class the
-# library raises. Decoded JSON objects hold each key once, so a morphism,
-# which has no name list, has no duplicate row.
+# library raises. A morphism has no name list, so it has no duplicate row;
+# each reader has a row whose JSON text repeats a key of some object.
 TENSOR_A = {"indecomposables": ["a", "b"], "triangles": [[["a"], ["b"], []]],
             "tensor": {"unit": ["a", "b"],
                        "table": {"a|a": ["a"], "a|b": [], "b|a": [], "b|b": ["b"]}}}
@@ -354,6 +354,11 @@ READER_CASES = [
      ValidationError, "tensor table"),
     ("presentation", "missing-entry", _table(**_without(TENSOR_A["tensor"]["table"], "b|a")),
      ValidationError, "tensor table"),
+    ("presentation", "repeated-key", json.dumps(TENSOR_A)[:-1] + ', "triangles": []}',
+     SchemaError, "repeated key 'triangles'"),
+    ("presentation", "repeated-entry",
+     json.dumps(TENSOR_A).replace('"b|b": ["b"]', '"b|b": ["b"], "a|a": []'),
+     SchemaError, "repeated key 'a|a'"),
     ("datum", "wrong-container", {**A2_DATUM, "points": "u"}, SchemaError, "points"),
     ("datum", "non-string", {**A2_DATUM, "points": ["u", None]}, SchemaError, "points"),
     ("datum", "empty-name", {**A2_DATUM, "points": ["u", ""]}, ValidationError, "points"),
@@ -368,6 +373,12 @@ READER_CASES = [
      ValidationError, "sigma"),
     ("datum", "missing-entry", {**A2_DATUM, "sigma": _without(A2_DATUM["sigma"], "S2")},
      ValidationError, "sigma"),
+    ("datum", "repeated-key", '{"points": ["u"], "sigma": {}, "points": []}',
+     SchemaError, "repeated key 'points'"),
+    # the last P1 would otherwise win, and the datum read as valid
+    ("datum", "repeated-entry",
+     '{"points": ["u"], "sigma": {"P1": ["u"], "P2": [], "S2": [], "P1": []}}',
+     SchemaError, "repeated key 'P1'"),
     ("morphism", "wrong-container", {"map": list(A2_MAP)}, SchemaError, "map"),
     ("morphism", "non-string", {"map": {**A2_MAP, "x0": 0}}, ValidationError, "map"),
     ("morphism", "empty-name", {"map": {**A2_MAP, "x0": ""}}, ValidationError, "map"),
@@ -378,12 +389,20 @@ READER_CASES = [
     ("morphism", "missing-key", {}, SchemaError, "morphism"),
     ("morphism", "extra-entry", {"map": {**A2_MAP, "y": "{}"}}, ValidationError, "map"),
     ("morphism", "missing-entry", {"map": _without(A2_MAP, "x1")}, ValidationError, "map"),
+    ("morphism", "repeated-key", json.dumps({"map": A2_MAP})[:-1] + ', "map": {}}',
+     SchemaError, "repeated key 'map'"),
+    ("morphism", "repeated-entry", json.dumps({"map": A2_MAP})[:-2] + ', "x0": "{}"}}',
+     SchemaError, "repeated key 'x0'"),
 ]
 
 
 def _read_library(reader, doc):
+    """``doc`` read by the library; a ``str`` is JSON text, which the one
+    decoder reads first."""
     if reader == "presentation":
-        return parse_presentation(json.dumps(doc))
+        return parse_presentation(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, str):
+        doc = _decode_json(doc, reader)
     if reader == "datum":
         return datum_from_document(doc, A2)
     return morphism_from_document(doc, A2_POINTS, A2_SP)
@@ -394,7 +413,7 @@ def _read_library(reader, doc):
 def test_every_reader_rejects_each_malformed_shape(capsys, tmp_path, reader, shape, doc,
                                                    error, part):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     datum = tmp_path / "datum.json"
     datum.write_text(json.dumps(datum_to_document(A2_POINTS, A2)), encoding="utf-8")
     argv = {
@@ -421,6 +440,66 @@ def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
     invalid = str(GOLDEN / "an4-datum-invalid.json")
     for flags in ([], ["--json"]):
         assert run(capsys, "map", "--builtin", "an:4", "--datum", invalid, *flags)[0] == 1
+
+
+def test_memory_error_while_computing_exits_2(capsys, monkeypatch):
+    def exhausted(pres):
+        raise MemoryError
+
+    monkeypatch.setattr("thicklat.cli.enumerate_thick", exhausted)
+    for flags in ([], ["--json"]):
+        assert run(capsys, "enumerate", "--builtin", "a2", *flags) == (
+            2, "", "error: out of memory\n")
+
+
+def test_memory_error_while_rendering_exits_2(capsys, monkeypatch):
+    def exhausted(doc):
+        raise MemoryError
+
+    monkeypatch.setattr("thicklat.cli._json_text", exhausted)
+    assert run(capsys, "enumerate", "--builtin", "a2", "--json") == (
+        2, "", "error: out of memory\n")
+
+
+# The renderer against json.dumps, the oracle: any JSON value, with text
+# that mixes arbitrary characters with quotes, backslashes, control
+# characters, non-ASCII and lone surrogates, in keys and values alike.
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_CHARACTERS = '"\\\x00\x1f\x7f\xe9\ud800\udfff\U0001f600'
+RENDER_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from(EDGE_CHARACTERS), max_size=6)
+RENDER_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+    | st.floats() | RENDER_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(RENDER_TEXT, max_size=4)
+                   | st.dictionaries(RENDER_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=RENDER_DOCS)
+def test_render_equals_json_dumps(doc):
+    assert _json_text(doc) == _dumps(doc)
+    # the renderer itself, also where _json_text calls json.dumps
+    assert _render(doc, "\n") + "\n" == _dumps(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--builtin", "an:7", "--json"],
+    ["space", "--builtin", "an:6", "--json"],
+    ["spectrum", "--builtin", "product:15", "--json"],
+    ["generate", "--builtin", "an:4"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_rendered_handler_documents_equal_json_dumps(capsysbinary, argv):
+    args = _parser().parse_args(argv)
+    doc, _ = args.run(_load_presentation(args), args)
+    assert _render(doc, "\n") + "\n" == _dumps(doc)
+    main(argv)
+    assert capsysbinary.readouterr().out == _dumps(doc).encode("utf-8")
 
 
 # Fuzzing main: names draw on a lone surrogate and on the reserved "|";

@@ -19,7 +19,9 @@ pipeline.
 
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
-itself is not checked in.
+itself is not checked in. ``ENUMERATE_AN8_JSON`` is the digest of
+``enumerate --builtin an:8 --json`` as written by commit 29dc09d, whose CLI
+rendered every JSON document with ``json.dumps(indent=2, sort_keys=True)``.
 """
 
 import argparse
@@ -150,6 +152,17 @@ def test_space_an8_stdout_matches_recorded_digest(capsysbinary):
     assert main(["space", "--builtin", "an:8"]) == 0
     out = capsysbinary.readouterr().out
     assert (len(out), hashlib.sha256(out).hexdigest()) == SPACE_AN8
+
+
+# (bytes, sha256) of the 21,147 thick subsets of an:8 as a JSON document
+ENUMERATE_AN8_JSON = (
+    2_489_406, "cd13315fe871e0ee930c06c7d53ece4b7bf056f9b1e4edf58c9dc8d08983b474")
+
+
+def test_enumerate_an8_json_stdout_matches_recorded_digest(capsysbinary):
+    assert main(["enumerate", "--builtin", "an:8", "--json"]) == 0
+    out = capsysbinary.readouterr().out
+    assert (len(out), hashlib.sha256(out).hexdigest()) == ENUMERATE_AN8_JSON
 
 
 def test_reused_parser_carries_no_state(capsysbinary, monkeypatch):
