@@ -54,7 +54,6 @@ from .space import (
 )
 from .tensor import (
     Spectrum,
-    TtReport,
     comparison_map,
     enumerate_ideals,
     ideal_closure,

@@ -293,8 +293,6 @@ def _parse_tensor(raw: object, names: tuple[str, ...], index: dict[str, int]) ->
 # --------------------------------------------------------------------------
 # Builtin families
 
-FAMILIES = ("a2", "an", "point", "product")
-
 
 def builtin(family: str, n: int | None = None) -> Presentation:
     """Construct a builtin example family.

@@ -139,7 +139,6 @@ class TriangleViolation:
 
 @dataclass(frozen=True)
 class DatumReport:
-    structural: tuple[tuple[str, str], ...]
     triangle_violations: tuple[TriangleViolation, ...]
     unclosed: tuple[int, ...]
 
@@ -168,7 +167,7 @@ def check_support_datum(datum: SupportDatum, pres: Presentation) -> DatumReport:
                 tri_violations.append(TriangleViolation(t_idx, rot, excess))
     unclosed = tuple(
         a for a in range(pres.size) if not datum.space.is_closed(datum.sigma[a]))
-    return DatumReport(STRUCTURAL_AXIOMS, tuple(tri_violations), unclosed)
+    return DatumReport(tuple(tri_violations), unclosed)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from thicklat.closure import ThickLattice, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.lattice import LatticeReport, LawWitness
 from thicklat.presentation import Presentation, TensorTable, Triangle, make_expr
+from thicklat.space import check_support_datum
 
 BRUTE_FORCE_LIMIT = 20
 DEFAULT_FAMILY_LIMIT = 1 << 16
@@ -85,6 +86,22 @@ def closure_by_avoiding_union(space, mask):
         if mask & ~avoiding:
             out |= 1 << x
     return out
+
+
+def tt_violations(space):
+    """Oracle tensor-support check of a support space over a presentation
+    with a tensor table: the base-axiom report of its datum, whether the
+    unit is supported on every point, and the pairs x <= y of
+    indecomposables where the support of x*y is not the intersection of
+    theirs."""
+    pres = space.lattice.presentation
+    table = pres.tensor
+    datum = space.as_datum()
+    unit_full = datum.sigma_of(table.unit) == datum.space.full_mask
+    products = tuple(
+        (x, y) for x in range(pres.size) for y in range(x, pres.size)
+        if datum.sigma_of(table.table[x][y]) != datum.sigma[x] & datum.sigma[y])
+    return check_support_datum(datum, pres), unit_full, products
 
 
 def random_presentation(seed, max_indecs=12, max_triangles=10):

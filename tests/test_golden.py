@@ -8,6 +8,9 @@ The support goldens (``space``, ``spectrum``, ``compare``, ``generate``,
 ``check`` and ``map``) were written by the code in which the prime spectrum
 was still a type of its own and the comparison map went through the general
 universal morphism; ``exit-status.json`` holds the exit status of each.
+The ``unit-empty`` goldens, the only ``spectrum`` run that exits 1, were
+written by commit fdcf5ca, whose ``spectrum`` still re-ran the base axiom
+checks and a product loop on every spectrum.
 ``generate-an4.json`` is both the ``generate`` golden and the valid datum fed
 to ``check`` and ``map``; ``an4-datum-invalid.json`` moves one support and
 ``an4-morphism-mutated.json`` sends ``x0`` to the image of ``x3``.
@@ -64,6 +67,9 @@ SUPPORT_SOURCES = {
     "an4": ["--builtin", "an:4"],
     "product2": ["--builtin", "product:2"],
     "product3": ["--builtin", "product:3"],
+    # a tensor table whose unit is zero: the unit check fails, so `spectrum`
+    # exits 1
+    "unit-empty": ["--input", str(GOLDEN / "unit-empty.presentation.json")],
 }
 SUPPORT_FORMATS = {"txt": [], "json": ["--json"]}
 AN4 = ["--builtin", "an:4"]

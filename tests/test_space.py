@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from conftest import closed_sets, closure_by_avoiding_union, preimage
+from conftest import closed_sets, closure_by_avoiding_union, preimage, random_presentation
 from thicklat.bitsets import mask_of
-from thicklat.closure import enumerate_thick
+from thicklat.closure import ThickLattice, enumerate_thick
 from thicklat.errors import InvalidParameter, NotThick, ValidationError
 from thicklat.presentation import Presentation, builtin, make_expr
 from thicklat.space import (
+    STRUCTURAL_AXIOMS,
     FinSpace,
+    MorphismReport,
     SupportDatum,
     SupportMorphism,
     build_sp,
@@ -188,8 +190,20 @@ def test_check_requires_total_sigma():
 
 
 def test_structural_axioms_reported():
-    report = check_support_datum(A2_SP.as_datum(), A2)
-    assert [axiom for axiom, _ in report.structural] == ["zero", "sums", "shift"]
+    assert [axiom for axiom, _ in STRUCTURAL_AXIOMS] == ["zero", "sums", "shift"]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_build_sp_satisfies_the_axioms_over_any_family(seed):
+    # supports by omission satisfy the base axioms over any family of thick
+    # subsets, so `spectrum` reports them from a constant
+    pres = random_presentation(seed)
+    elements = enumerate_thick(pres).elements
+    rng = random.Random(seed)
+    for _ in range(10):
+        family = tuple(e for e in elements if rng.random() < 0.5)
+        sp = build_sp(ThickLattice(pres, family))
+        assert check_support_datum(sp.as_datum(), pres).valid
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +273,8 @@ def test_check_morphism_never_fails_continuity_on_valid_data(n):
         space = FinSpace.generate(pulled.space.points, pulled.space.generators + tuple(extra))
         datum = SupportDatum(space, pulled.sigma)
         assert check_support_datum(datum, pres).valid
+        # `map` without --morphism prints this verdict as a constant
+        assert check_morphism(datum, sp, universal_morphism(datum, sp)) == MorphismReport(True)
         mapping = list(pulled.origin_map)
         for x in rng.sample(range(width), rng.randint(0, width)):
             mapping[x] = rng.randrange(len(sp.lattice))
