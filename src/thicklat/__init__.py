@@ -32,7 +32,6 @@ from .presentation import (
     parse_presentation,
     presentation_from_document,
     presentation_to_document,
-    serialize_presentation,
 )
 from .space import (
     DatumReport,

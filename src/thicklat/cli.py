@@ -31,7 +31,7 @@ from pathlib import Path
 from .bitsets import pick
 from .closure import enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
-from .lattice import DEFAULT_MAX_SIZE, analyze, export_dot
+from .lattice import DEFAULT_MAX_SIZE, _dot, analyze, export_dot
 from .presentation import Presentation, _decode_json, builtin, parse_presentation
 from .space import (
     ROTATIONS,
@@ -167,11 +167,12 @@ def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
     if args.dot == "-":
         return export_dot(lat), EXIT_OK
-    # the size guard runs first, so a run that exits 2 writes no file
+    # the size guard runs first, so a run that exits 2 writes no file; the
+    # file draws the report's covers instead of finding them again
     report = analyze(lat, max_size=args.max_size)
     if args.dot is not None:
         try:
-            Path(args.dot).write_text(export_dot(lat), encoding="utf-8", newline="\n")
+            Path(args.dot).write_text(_dot(lat, report.covers), encoding="utf-8", newline="\n")
         except OSError as exc:
             raise InvalidParameter(f"cannot write {args.dot}: {exc}") from exc
     laws = (("distributive", report.is_distributive, report.distributive_witness),
@@ -205,7 +206,7 @@ def _cmd_space(pres: Presentation, args: argparse.Namespace) -> Output:
 def _supports(sp: SupportSpace) -> dict[str, list[str]]:
     """Point labels of each indecomposable's support."""
     names = sp.lattice.presentation.names
-    return {name: sp.space.point_labels(sp.sup[a]) for a, name in enumerate(names)}
+    return {name: pick(sp.space.points, sp.sup[a]) for a, name in enumerate(names)}
 
 
 def _support_lines(sp: SupportSpace, heading: str, sup_name: str) -> list[str]:
@@ -232,7 +233,7 @@ def _datum_report_doc(report: DatumReport, datum, pres: Presentation) -> dict:
             {
                 "triangle": v.triangle,
                 "rotation": ROTATIONS[v.rotation],
-                "points": datum.space.point_labels(v.excess),
+                "points": pick(datum.space.points, v.excess),
             }
             for v in report.triangle_violations
         ],
@@ -249,7 +250,7 @@ def _datum_report_lines(report: DatumReport, datum, pres: Presentation) -> list[
             tri = pres.triangles[v.triangle]
             shape = " -> ".join("+".join(pres.expr_names(e)) if e else "0"
                                 for e in (tri.a, tri.b, tri.c))
-            stray = ", ".join(datum.space.point_labels(v.excess))
+            stray = ", ".join(pick(datum.space.points, v.excess))
             lines.append(
                 f"  triangle {v.triangle} ({shape}), rotation {ROTATIONS[v.rotation]}: "
                 f"stray points {stray}")

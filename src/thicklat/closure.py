@@ -123,20 +123,9 @@ class ThickLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.position
-
     @cached_property
     def position(self) -> dict[int, int]:
         return {e: i for i, e in enumerate(self.elements)}
-
-    @property
-    def bottom(self) -> int:
-        return self.elements[0]
-
-    @property
-    def top(self) -> int:
-        return self.elements[-1]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.presentation.label(e) for e in self.elements)

@@ -63,6 +63,7 @@ class LatticeReport:
     distributive_witness: LawWitness | None
     is_modular: bool
     modular_witness: LawWitness | None
+    covers: tuple[tuple[int, int], ...]  # the Hasse edges, as ``covering_pairs``
 
 
 def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeReport:
@@ -85,12 +86,12 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
     elems = lattice.elements
     pres = lattice.presentation
     up = _upper_covers(lattice)
+    covers = _edges(up)
     down: list[list[int]] = [[] for _ in range(n)]
     heights = [0] * n
-    for lo, his in enumerate(up):
-        for hi in his:
-            down[hi].append(lo)
-            heights[hi] = max(heights[hi], heights[lo] + 1)
+    for lo, hi in covers:
+        down[hi].append(lo)
+        heights[hi] = max(heights[hi], heights[lo] + 1)
     height = heights[-1]
     modular = _semimodular(up) and _semimodular(down)
     distributive = modular and sum(len(d) == 1 for d in down) == height
@@ -117,6 +118,7 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
         distributive_witness=dw,
         is_modular=modular,
         modular_witness=mw,
+        covers=tuple(covers),
     )
 
 
@@ -187,16 +189,25 @@ def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
 
 def covering_pairs(lattice: ThickLattice) -> list[tuple[int, int]]:
     """Hasse edges as (lower position, upper position) in canonical order."""
-    return [(lo, hi) for lo, his in enumerate(_upper_covers(lattice)) for hi in his]
+    return _edges(_upper_covers(lattice))
+
+
+def _edges(up: list[list[int]]) -> list[tuple[int, int]]:
+    return [(lo, hi) for lo, his in enumerate(up) for hi in his]
 
 
 def export_dot(lattice: ThickLattice) -> str:
     """Hasse diagram in DOT syntax; nodes in canonical order, edges upward."""
+    return _dot(lattice, covering_pairs(lattice))
+
+
+def _dot(lattice: ThickLattice, edges) -> str:
+    """``export_dot`` on Hasse edges already found, such as ``analyze``'s."""
     lines = ["digraph thick_lattice {", "  rankdir=BT;"]
     for i, label in enumerate(lattice.labels()):
         safe = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{safe}"];')
-    for lo, hi in covering_pairs(lattice):
+    for lo, hi in edges:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -40,9 +40,6 @@ class Triangle:
     b: ObjectExpr
     c: ObjectExpr
 
-    def masks(self) -> tuple[int, int, int]:
-        return mask_of(self.a), mask_of(self.b), mask_of(self.c)
-
 
 @dataclass(frozen=True)
 class TensorTable:
@@ -101,12 +98,8 @@ class Presentation:
         return (1 << len(self.names)) - 1
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
-
-    @cached_property
     def triangle_masks(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(t.masks() for t in self.triangles)
+        return tuple((mask_of(t.a), mask_of(t.b), mask_of(t.c)) for t in self.triangles)
 
     @cached_property
     def rule_index(self) -> RuleIndex:
@@ -177,10 +170,6 @@ def presentation_to_document(pres: Presentation) -> dict:
                 table[key] = pres.expr_names(pres.tensor.table[x][y])
         doc["tensor"] = {"unit": pres.expr_names(pres.tensor.unit), "table": table}
     return doc
-
-
-def serialize_presentation(pres: Presentation) -> str:
-    return json.dumps(presentation_to_document(pres), indent=2) + "\n"
 
 
 # The readers below serve every document: presentations here, support data

@@ -70,9 +70,6 @@ class FinSpace:
     def is_closed(self, mask: int) -> bool:
         return self.closed_closure(mask) == mask
 
-    def point_labels(self, mask: int) -> list[str]:
-        return pick(self.points, mask)
-
 
 @dataclass(frozen=True)
 class SupportSpace:
@@ -153,8 +150,7 @@ def check_support_datum(datum: SupportDatum, pres: Presentation) -> DatumReport:
     The triangle containment is checked in all three rotations of every
     stored triangle, and every per-indecomposable support must be closed.
     """
-    if len(datum.sigma) != pres.size:
-        raise InvalidParameter("datum must assign a support to every indecomposable")
+    _require_one_support_each(datum, pres)
     tri_violations = []
     for t_idx, tri in enumerate(pres.triangles):
         sa = datum.sigma_of(tri.a)
@@ -168,6 +164,13 @@ def check_support_datum(datum: SupportDatum, pres: Presentation) -> DatumReport:
     unclosed = tuple(
         a for a in range(pres.size) if not datum.space.is_closed(datum.sigma[a]))
     return DatumReport(tuple(tri_violations), unclosed)
+
+
+def _require_one_support_each(datum: SupportDatum, pres: Presentation) -> None:
+    if len(datum.sigma) != pres.size:
+        raise InvalidParameter(
+            f"datum has {len(datum.sigma)} supports for {pres.size} indecomposables; "
+            "it must assign one to each")
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,7 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
     in sigma(a).
     """
     pres = sp.lattice.presentation
+    _require_one_support_each(datum, pres)
     position = sp.lattice.position
     mapping = []
     for x, image in enumerate(omitted(datum.sigma, len(datum.space.points))):
@@ -214,6 +218,7 @@ def check_morphism(datum: SupportDatum, sp: SupportSpace,
     preimages commute with union and intersection and the source family is
     closed under both, so the generators decide the whole family.
     """
+    _require_one_support_each(datum, sp.lattice.presentation)
     if len(morphism.mapping) != len(datum.space.points):
         raise InvalidParameter("morphism must map every point of the datum's space")
     elems = sp.lattice.elements
@@ -277,9 +282,9 @@ def datum_from_document(doc: object, pres: Presentation) -> SupportDatum:
 def datum_to_document(datum: SupportDatum, pres: Presentation) -> dict:
     return {
         "points": list(datum.space.points),
-        "closed": [datum.space.point_labels(g) for g in datum.space.generators],
+        "closed": [pick(datum.space.points, g) for g in datum.space.generators],
         "sigma": {
-            pres.names[a]: datum.space.point_labels(datum.sigma[a])
+            pres.names[a]: pick(datum.space.points, datum.sigma[a])
             for a in range(pres.size)
         },
     }

@@ -211,9 +211,18 @@ def closure_by_sweep(pres, subset, is_closed=triangle_rule_closed):
     return result
 
 
+def covers_by_definition(elems):
+    """Oracle Hasse edges: position pairs e < f with no element strictly between."""
+    return sorted(
+        (i, j) for i, e in enumerate(elems) for j, f in enumerate(elems)
+        if e != f and e & ~f == 0 and not any(
+            m != e and m != f and e & ~m == 0 and m & ~f == 0 for m in elems))
+
+
 def report_by_sweep(lattice):
     """Oracle lattice report: the full canonical-order (x, y, z) sweep of
-    both laws, and height and atoms by pairwise comparison (n <= ~200)."""
+    both laws, and height, atoms and covers by pairwise comparison
+    (n <= ~200)."""
     elems = lattice.elements
     memo = {}
 
@@ -257,4 +266,5 @@ def report_by_sweep(lattice):
         distributive_witness=dw,
         is_modular=mw is None,
         modular_witness=mw,
+        covers=tuple(covers_by_definition(elems)),
     )

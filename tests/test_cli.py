@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from thicklat import lattice
 from thicklat.cli import _json_text, _load_presentation, _parser, _render, main
 from thicklat.closure import enumerate_thick
 from thicklat.errors import SchemaError, ValidationError
@@ -94,6 +95,26 @@ def test_lattice_dot_file_waits_for_the_guard(capsys, tmp_path):
     assert (code, out) == (0, (GOLDEN / "lattice-a2.txt").read_text(encoding="utf-8"))
     assert target.read_text(encoding="utf-8") == (GOLDEN / "lattice-a2.dot").read_text(
         encoding="utf-8")
+
+
+def test_lattice_dot_file_adds_no_closure_calls(capsys, monkeypatch, tmp_path):
+    # a work gate that does not depend on the wall clock: the file is drawn
+    # from the covers that analyze found, so they are not found twice
+    calls = 0
+    original = lattice.thick_closure
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "thick_closure", counted)
+    counts = []
+    for dot in ([], ["--dot", str(tmp_path / "an5.gv")]):
+        calls = 0
+        assert run(capsys, "lattice", "--builtin", "an:5", *dot)[0] == 0
+        counts.append(calls)
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 def test_space_summary(capsys):

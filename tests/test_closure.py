@@ -21,7 +21,7 @@ A2 = builtin("a2")
 
 
 def masks(pres, *name_groups):
-    return [mask_of(pres.index[n] for n in names) for names in name_groups]
+    return [mask_of(pres.names.index(n) for n in names) for names in name_groups]
 
 
 def test_object_in_examples():
@@ -148,7 +148,7 @@ def test_intersections_stay_closed():
             continue
         for j in lat.elements:
             for k in lat.elements:
-                assert (j & k) in lat
+                assert (j & k) in lat.position
 
 
 def test_canonical_order_and_uniqueness():
@@ -195,7 +195,7 @@ def test_degenerate_triangles_are_legal():
     lat = enumerate_thick(pres)
     assert lat.elements == brute_force_thick(pres).elements
     assert thick_closure(pres, 0) == mask_of([0])
-    assert lat.bottom == mask_of([0])
+    assert lat.elements[0] == mask_of([0])
 
 
 def test_multi_component_vertices_fire_the_rule():
@@ -206,5 +206,5 @@ def test_multi_component_vertices_fire_the_rule():
 
 def test_bottom_and_top():
     lat = enumerate_thick(A2)
-    assert lat.bottom == 0
-    assert lat.top == A2.full_mask
+    assert lat.elements[0] == 0
+    assert lat.elements[-1] == A2.full_mask

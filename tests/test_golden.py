@@ -60,6 +60,14 @@ def test_lattice_stdout_matches_golden(capsysbinary, name, fmt):
     assert out == (GOLDEN / f"lattice-{name}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_lattice_dot_file_matches_golden(capsysbinary, tmp_path, name):
+    target = tmp_path / f"{name}.gv"
+    assert main(["lattice", *SOURCES[name], "--dot", str(target)]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / f"lattice-{name}.txt").read_bytes()
+    assert target.read_bytes() == (GOLDEN / f"lattice-{name}.dot").read_bytes()
+
+
 SUPPORT_SOURCES = {
     "a2": ["--builtin", "a2"],
     "point": ["--builtin", "point"],

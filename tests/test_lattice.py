@@ -3,7 +3,12 @@ from functools import reduce
 
 import pytest
 
-from conftest import random_presentation, random_tensor_presentation, report_by_sweep
+from conftest import (
+    covers_by_definition,
+    random_presentation,
+    random_tensor_presentation,
+    report_by_sweep,
+)
 from thicklat import lattice
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick, thick_closure
@@ -47,7 +52,7 @@ def test_meet_of_elements_is_an_element():
         lat = enumerate_thick(pres)
         for j in lat.elements:
             for k in lat.elements:
-                assert j & k in lat
+                assert j & k in lat.position
 
 
 def test_meet_join_reject_non_elements():
@@ -201,14 +206,6 @@ def test_export_dot_shape():
 def test_covering_pairs_a2():
     pairs = covering_pairs(A2_LAT)
     assert pairs == [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
-
-
-def covers_by_definition(elems):
-    """Oracle Hasse edges: position pairs e < f with no element strictly between."""
-    return sorted(
-        (i, j) for i, e in enumerate(elems) for j, f in enumerate(elems)
-        if e != f and e & ~f == 0 and not any(
-            m != e and m != f and e & ~m == 0 and m & ~f == 0 for m in elems))
 
 
 def test_covers_match_order_theoretic_definition():

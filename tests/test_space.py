@@ -292,6 +292,21 @@ def test_check_morphism_validates_shape():
         check_morphism(A2_SP.as_datum(), A2_SP, SupportMorphism((9,) * 5))
 
 
+@pytest.mark.parametrize("count", [3, 8])
+def test_morphisms_refuse_a_datum_of_another_presentation(count):
+    # an:3 has 6 indecomposables; a short datum used to raise IndexError in
+    # check_morphism, and a long one passed it or met NotThick in
+    # universal_morphism
+    sp = build_sp(enumerate_thick(builtin("an", 3)))
+    datum = SupportDatum(FinSpace.generate(["x0"], []), (0,) * count)
+    with pytest.raises(InvalidParameter, match=f"datum has {count} supports for 6"):
+        check_support_datum(datum, sp.lattice.presentation)
+    with pytest.raises(InvalidParameter, match=f"datum has {count} supports for 6"):
+        universal_morphism(datum, sp)
+    with pytest.raises(InvalidParameter, match=f"datum has {count} supports for 6"):
+        check_morphism(datum, sp, SupportMorphism((0,)))
+
+
 # --------------------------------------------------------------------------
 # random_support_datum and the finality round trip
 

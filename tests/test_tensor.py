@@ -12,7 +12,7 @@ from conftest import (
     random_tensor_presentation,
     tt_violations,
 )
-from thicklat.bitsets import canonical_key, mask_of
+from thicklat.bitsets import canonical_key, mask_of, pick
 from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
 from thicklat.errors import NoTensor
 from thicklat.presentation import (
@@ -99,7 +99,7 @@ def test_ideal_closure_from_closed_base_matches_sweep(seed):
 def test_primes_product2():
     spectrum = primes(PRODUCT2)
     assert spectrum.space.points == ("{e1}", "{e2}")
-    assert spectrum.space.point_labels(spectrum.sup[0]) == ["{e2}"]
+    assert pick(spectrum.space.points, spectrum.sup[0]) == ["{e2}"]
     assert 0 not in spectrum.primes  # the zero ideal fails primality: e1*e2 = 0
 
 
