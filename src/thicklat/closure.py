@@ -13,7 +13,10 @@ only elements not already in a known closed subset are queued, and each
 queued element checks just the triangles that touch it. Enumeration is
 Close-by-One (Kuznetsov 1993) with FCbO's inherited-failure pruning (Krajca,
 Outrata & Vychodil 2010): every closed set is the closure of a closed parent
-plus one element, so each closure starts from a closed base.
+plus one element, so each closure starts from a closed base. As in In-Close
+(Andrews 2009), the canonicity test runs inside the closure: a candidate's
+closure stops at its first addition below the added element, so a rejected
+candidate costs only the work up to that addition.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .presentation import Presentation
 
 
 def propagate(pres: Presentation, members: int, closed: int,
-              implied: tuple[int, ...]) -> int:
+              implied: tuple[int, ...], stop: int = 0) -> int:
     """Least superset of ``members`` closed under the triangle rule and
     ``implied`` (the mask each element forces in by itself).
 
@@ -35,6 +38,11 @@ def propagate(pres: Presentation, members: int, closed: int,
     under the same rules; its elements are trusted and never re-examined.
     The rule fires on any two contained vertices because rotating a stored
     triangle is always permitted.
+
+    The walk returns early, with a partial closure, at the first addition
+    that meets ``stop``. What it returns lies between ``members`` and the
+    closure, meets ``stop`` exactly when the closure does, and is the
+    closure whenever it misses ``stop``.
     """
     index = pres.rule_index
     touching = index.touching
@@ -56,32 +64,45 @@ def propagate(pres: Presentation, members: int, closed: int,
         add &= missing
         if add:
             cur |= add
+            if add & stop:
+                return cur
             todo |= add
     return cur
 
 
-def thick_closure(pres: Presentation, members: int, closed: int = 0) -> int:
+def thick_closure(pres: Presentation, members: int, closed: int = 0,
+                  stop: int = 0) -> int:
     """Least thick superset of ``members``; ``closed`` is a thick subset of
-    ``members`` (or 0) whose closure work is already done.
+    ``members`` (or 0) whose closure work is already done. A non-zero
+    ``stop`` may end the closure early, as in ``propagate``.
 
     Extensive, monotone, and idempotent.
     """
-    return propagate(pres, members, closed, pres.rule_index.implied)
+    return propagate(pres, members, closed, pres.rule_index.implied, stop)
 
 
-def iter_closed(n: int, close: Callable[[int, int], int]) -> Iterator[int]:
+def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
     """All fixed points of a closure operator on subsets of range(n).
 
-    ``close(members, closed)`` must return the closure of ``members`` given
-    that ``closed`` is 0 or a closed subset of ``members``; every call made
-    here passes the closed parent of the candidate. FCbO enumeration: each
-    closed set is the closure of a parent plus one element j that adds
-    nothing below j, so each is produced exactly once. A candidate that fails
-    that test is remembered for j, and descendants whose set misses one of
-    its elements below j skip the call, since their candidate would fail too.
+    ``close(members, closed, stop)`` must return the closure of ``members``
+    given that ``closed`` is 0 or a closed subset of ``members``; every call
+    made here passes the closed parent of the candidate. With a non-zero
+    ``stop`` it may instead return any set between ``members`` and the
+    closure that meets ``stop``, but only when the closure meets it.
+
+    FCbO enumeration: each closed set is the closure of a parent plus one
+    element j that adds nothing below j, so each is produced exactly once.
+    In-Close's early test (Andrews 2009) passes the elements below j outside
+    the parent as ``stop``, so a closure can end at its first failing
+    addition. A candidate that fails is remembered for j, and descendants
+    whose set misses one of its elements below j skip the call, since their
+    candidate would fail too. The record may be a partial closure P, and the
+    skip stays sound: P lies in cl(parent | j), which lies in the closure of
+    any descendant's candidate for j, so an element of P below j that the
+    descendant lacks is in that closure too.
     """
     full = (1 << n) - 1
-    stack = [(close(0, 0), 0, (0,) * n)]
+    stack = [(close(0, 0, 0), 0, (0,) * n)]
     while stack:
         parent, start, failed = stack.pop()
         yield parent
@@ -95,7 +116,7 @@ def iter_closed(n: int, close: Callable[[int, int], int]) -> Iterator[int]:
             below = ~parent & (bit - 1)
             if failed[j] & below:
                 continue  # an ancestor's candidate for j already failed here
-            child = close(parent | bit, parent)
+            child = close(parent | bit, parent, below)
             if child & below:
                 if inherited is failed:
                     inherited = list(failed)
@@ -133,6 +154,6 @@ class ThickLattice:
 
 def enumerate_thick(pres: Presentation) -> ThickLattice:
     """All thick subsets via FCbO enumeration, canonically ordered."""
-    found = iter_closed(pres.size, lambda m, c: thick_closure(pres, m, c))
+    found = iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c, s))
     return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
 

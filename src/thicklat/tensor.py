@@ -27,16 +27,19 @@ def _tensor(pres: Presentation) -> TensorTable:
     return pres.tensor
 
 
-def ideal_closure(pres: Presentation, members: int, closed: int = 0) -> int:
+def ideal_closure(pres: Presentation, members: int, closed: int = 0,
+                  stop: int = 0) -> int:
     """Least superset closed under the triangle rule and tensor absorption;
-    ``closed`` is an ideal contained in ``members`` (or 0)."""
-    return propagate(pres, members, closed, _tensor(pres).absorption_masks)
+    ``closed`` is an ideal contained in ``members`` (or 0). A non-zero
+    ``stop`` may end the closure at its first addition meeting ``stop``,
+    with a partial closure, as in ``closure.propagate``."""
+    return propagate(pres, members, closed, _tensor(pres).absorption_masks, stop)
 
 
 def enumerate_ideals(pres: Presentation) -> ThickLattice:
     """All absorption-closed thick subsets, canonical order."""
     _tensor(pres)
-    found = iter_closed(pres.size, lambda m, c: ideal_closure(pres, m, c))
+    found = iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c, s))
     return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
 
 

@@ -211,6 +211,17 @@ def closure_by_sweep(pres, subset, is_closed=triangle_rule_closed):
     return result
 
 
+def assert_stopped_closure(members, stopped, full, stop):
+    """The contract of a closure run with ``stop``: a set between ``members``
+    and the full closure that meets ``stop`` exactly when the closure does,
+    and is the closure whenever it misses ``stop``."""
+    assert members & ~stopped == 0
+    assert stopped & ~full == 0
+    assert bool(stopped & stop) == bool(full & stop)
+    if not stopped & stop:
+        assert stopped == full
+
+
 def covers_by_definition(elems):
     """Oracle Hasse edges: position pairs e < f with no element strictly between."""
     return sorted(

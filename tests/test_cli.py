@@ -234,6 +234,15 @@ def test_generate_deterministic(capsys):
     assert doc["points"] == ["x0", "x1", "x2", "x3"]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_generate_rejects_a_seed_outside_u64(capsys, seed):
+    code, out, err = run(capsys, "generate", "--builtin", "an:3", "--points", "6",
+                         "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert f"seed {seed} is outside" in err
+
+
 def test_generate_feeds_check(capsys, tmp_path):
     _, out, _ = run(capsys, "generate", "--builtin", "an:3", "--seed", "1", "--points", "5")
     path = tmp_path / "datum.json"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    assert_stopped_closure,
     bell_numbers,
     brute_force_thick,
     closed_by_sweep,
@@ -160,13 +161,42 @@ def test_canonical_order_and_uniqueness():
         assert len(set(lat.elements)) == len(lat.elements)
 
 
+def test_stopped_closure_is_exact():
+    # a closure told to stop may return a partial closure, but only one that
+    # still meets stop, so the canonicity test reads the same either way
+    stopped_early = 0
+    for seed in range(200):
+        pres = random_presentation(seed, max_indecs=9, max_triangles=8)
+        closed_sets = closed_by_sweep(pres)
+        rng = random.Random(seed + 4000)
+        for _ in range(10):
+            m = rng.randrange(1 << pres.size)
+            c = rng.choice([c for c in closed_sets if c & ~m == 0] or [0])
+            stop = rng.randrange(1 << pres.size) & rng.choice((~m, -1))
+            full = thick_closure(pres, m)
+            stopped = thick_closure(pres, m, c, stop)
+            assert_stopped_closure(m, stopped, full, stop)
+            stopped_early += stopped != full
+    assert stopped_early  # the early return is exercised, not just allowed
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_iter_closed_is_unchanged_by_stopping(seed):
+    pres = random_presentation(seed)
+    stopped = list(iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c, s)))
+    full = list(iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c)))
+    assert stopped == full
+
+
 def test_iter_closed_yields_each_once():
     pres = builtin("an", 4)
 
-    def close(members, closed):
+    def close(members, closed, stop):
         assert closed & ~members == 0  # the base lies inside the candidate
         assert thick_closure(pres, closed) == closed  # and is closed
-        return thick_closure(pres, members, closed)
+        result = thick_closure(pres, members, closed, stop)
+        assert_stopped_closure(members, result, thick_closure(pres, members), stop)
+        return result
 
     seen = list(iter_closed(pres.size, close))
     assert len(seen) == len(set(seen)) == 52
@@ -186,6 +216,25 @@ def test_enumeration_closure_call_ceiling(monkeypatch, n, ceiling):
     monkeypatch.setattr(closure, "thick_closure", counted)
     assert len(enumerate_thick(builtin("an", n))) == bell_numbers(n + 1)[-1]
     assert calls <= ceiling
+
+
+def test_enumeration_addition_ceiling(monkeypatch):
+    # a work gate that does not depend on the wall clock: a third of the
+    # candidates here are rejected, and each rejected closure stops at its
+    # first addition below the new element instead of at its fixpoint
+    pres = random_presentation(192, max_indecs=16, max_triangles=20)
+    added = 0
+    original = closure.thick_closure
+
+    def counted(pres, members, *rest):
+        nonlocal added
+        result = original(pres, members, *rest)
+        added += (result & ~members).bit_count()
+        return result
+
+    monkeypatch.setattr(closure, "thick_closure", counted)
+    assert enumerate_thick(pres).elements == closed_by_sweep(pres)
+    assert added <= 450  # 355 with the early stop, 883 without
 
 
 def test_degenerate_triangles_are_legal():

@@ -334,6 +334,14 @@ def test_random_datum_rejects_negative():
         random_support_datum(A2_SP, -1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -(1 << 64), 1 << 64])
+def test_random_datum_rejects_a_seed_outside_u64(seed):
+    # random.Random seeds with the absolute value, so -1 would draw seed 1
+    with pytest.raises(InvalidParameter):
+        random_support_datum(A2_SP, 4, seed)
+    assert random_support_datum(A2_SP, 4, (1 << 64) - 1).space.points
+
+
 def test_random_datum_over_point_is_zero_fiber():
     sp = build_sp(enumerate_thick(builtin("point")))
     zero_position = sp.lattice.position[0]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import (
+    assert_stopped_closure,
     closed_by_sweep,
     closure_by_sweep,
     ideal_rule_closed,
@@ -13,7 +14,7 @@ from conftest import (
     tt_violations,
 )
 from thicklat.bitsets import canonical_key, mask_of, pick
-from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
+from thicklat.closure import ThickLattice, enumerate_thick, iter_closed, thick_closure
 from thicklat.errors import NoTensor
 from thicklat.presentation import (
     Presentation,
@@ -94,6 +95,31 @@ def test_ideal_closure_from_closed_base_matches_sweep(seed):
         m = rng.randrange(1 << pres.size)
         c = rng.choice([q for q in ideals if q & ~m == 0] or [0])
         assert ideal_closure(pres, m, c) == closure_by_sweep(pres, m, ideal_rule_closed)
+
+
+def test_stopped_ideal_closure_is_exact():
+    stopped_early = 0
+    for seed in range(200):
+        pres = random_tensor_presentation(seed)
+        ideals = closed_by_sweep(pres, ideal_rule_closed)
+        rng = random.Random(seed + 5000)
+        for _ in range(10):
+            m = rng.randrange(1 << pres.size)
+            c = rng.choice([q for q in ideals if q & ~m == 0] or [0])
+            stop = rng.randrange(1 << pres.size) & rng.choice((~m, -1))
+            full = ideal_closure(pres, m)
+            stopped = ideal_closure(pres, m, c, stop)
+            assert_stopped_closure(m, stopped, full, stop)
+            stopped_early += stopped != full
+    assert stopped_early  # the early return is exercised, not just allowed
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_iter_closed_ideals_are_unchanged_by_stopping(seed):
+    pres = random_tensor_presentation(seed)
+    stopped = list(iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c, s)))
+    full = list(iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c)))
+    assert stopped == full
 
 
 def test_primes_product2():
