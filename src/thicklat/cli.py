@@ -40,6 +40,7 @@ from .space import (
     MorphismReport,
     SupportSpace,
     build_sp,
+    check_draw_parameters,
     check_morphism,
     check_support_datum,
     datum_from_document,
@@ -320,8 +321,9 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
 
 
 def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
+    spectrum = primes(pres)  # raises NoTensor before the enumeration
     lattice = enumerate_thick(pres)
-    inclusion = comparison_map(primes(pres), lattice)
+    inclusion = comparison_map(spectrum, lattice)
     # the comparison map is the inclusion of the primes, so "fixes primes"
     # and "injective" are theorems, not checks
     doc = {"spectrum_points": len(inclusion.mapping), "universal_points": len(lattice),
@@ -333,8 +335,7 @@ def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
 
 def _cmd_generate(pres: Presentation, args: argparse.Namespace) -> Output:
     # always a JSON document: it is the input format of `check` and `map`
-    if args.points < 0:
-        raise InvalidParameter("--points must be >= 0")
+    check_draw_parameters(args.points, args.seed)
     datum = random_support_datum(build_sp(enumerate_thick(pres)), args.points, args.seed)
     return datum_to_document(datum, pres), EXIT_OK
 

@@ -13,10 +13,11 @@ only elements not already in a known closed subset are queued, and each
 queued element checks just the triangles that touch it. Enumeration is
 Close-by-One (Kuznetsov 1993) with FCbO's inherited-failure pruning (Krajca,
 Outrata & Vychodil 2010): every closed set is the closure of a closed parent
-plus one element, so each closure starts from a closed base. As in In-Close
-(Andrews 2009), the canonicity test runs inside the closure: a candidate's
-closure stops at its first addition below the added element, so a rejected
-candidate costs only the work up to that addition.
+plus one element, so each closure starts from a closed base, and each node
+hands its children one copy of its parent's failure records plus its own. As
+in In-Close (Andrews 2009), the canonicity test runs inside the closure: a
+candidate's closure stops at its first addition below the added element, so
+a rejected candidate costs only the work up to that addition.
 """
 
 from __future__ import annotations
@@ -96,18 +97,19 @@ def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
     the parent as ``stop``, so a closure can end at its first failing
     addition. A candidate that fails is remembered for j, and descendants
     whose set misses one of its elements below j skip the call, since their
-    candidate would fail too. The record may be a partial closure P, and the
-    skip stays sound: P lies in cl(parent | j), which lies in the closure of
-    any descendant's candidate for j, so an element of P below j that the
-    descendant lacks is in that closure too.
+    candidate would fail too. A partial record P still counts: P lies in
+    cl(parent | j), hence in cl(d | j) for each descendant d, so an element
+    of P below j that d lacks is in cl(d | j) too. Each node copies its
+    parent's records once, writes its failures there and pushes each child
+    with it at once: no child pops before the loop ends, so each sees every
+    record, and each copies before writing, so none sees a sibling's.
     """
     full = (1 << n) - 1
-    stack = [(close(0, 0, 0), 0, (0,) * n)]
+    stack = [(close(0, 0, 0), 0, [0] * n)]
     while stack:
         parent, start, failed = stack.pop()
         yield parent
-        inherited = failed
-        children = []
+        failed = list(failed)
         todo = full & ~parent & -(1 << start)
         while todo:
             bit = todo & -todo
@@ -118,12 +120,9 @@ def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
                 continue  # an ancestor's candidate for j already failed here
             child = close(parent | bit, parent, below)
             if child & below:
-                if inherited is failed:
-                    inherited = list(failed)
-                inherited[j] = child
+                failed[j] = child
             else:
-                children.append((child, j + 1))
-        stack.extend((child, nxt, inherited) for child, nxt in children)
+                stack.append((child, j + 1, failed))
 
 
 @dataclass(frozen=True)

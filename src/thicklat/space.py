@@ -237,19 +237,26 @@ def check_morphism(datum: SupportDatum, sp: SupportSpace,
     return MorphismReport(True)
 
 
+def check_draw_parameters(num_points: int, seed: int) -> None:
+    """Raise ``InvalidParameter`` unless ``random_support_datum`` accepts
+    ``num_points`` and ``seed``. The seed must lie in [0, 2**64):
+    ``random.Random`` seeds an int with its absolute value, so -1 would draw
+    the datum of 1."""
+    if num_points < 0:
+        raise InvalidParameter("num_points must be >= 0")
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParameter(f"seed {seed} is outside [0, 2**64)")
+
+
 def random_support_datum(sp: SupportSpace, num_points: int, seed: int) -> SupportDatum:
     """Pull the canonical supports back along a seeded random point map.
 
     Pullbacks of support data along arbitrary maps are support data, so the
     result is always valid; the drawn map is retained on the result so
     round trips through the universal morphism can be checked pointwise.
-    The seed must lie in [0, 2**64): ``random.Random`` seeds an int with its
-    absolute value, so -1 would draw the datum of 1.
+    The arguments are checked by ``check_draw_parameters``.
     """
-    if num_points < 0:
-        raise InvalidParameter("num_points must be >= 0")
-    if not 0 <= seed < 1 << 64:
-        raise InvalidParameter(f"seed {seed} is outside [0, 2**64)")
+    check_draw_parameters(num_points, seed)
     rng = random.Random(seed)
     elems = sp.lattice.elements
     origin = tuple(rng.randrange(len(elems)) for _ in range(num_points))

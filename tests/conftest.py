@@ -222,6 +222,33 @@ def assert_stopped_closure(members, stopped, full, stop):
         assert stopped == full
 
 
+def fcbo_by_handoff(n, close):
+    """Reference FCbO with In-Close's early stop, the order and pruning
+    ``closure.iter_closed`` must match: each node collects its children and
+    hands them a frozen copy of its failure records only once its loop over
+    candidates is done."""
+    stack = [(close(0, 0, 0), 0, (0,) * n)]
+    while stack:
+        parent, start, inherited = stack.pop()
+        yield parent
+        failed = list(inherited)
+        children = []
+        for j in range(start, n):
+            bit = 1 << j
+            if parent & bit:
+                continue
+            below = ~parent & (bit - 1)
+            if failed[j] & below:
+                continue
+            child = close(parent | bit, parent, below)
+            if child & below:
+                failed[j] = child
+            else:
+                children.append((child, j + 1))
+        records = tuple(failed)
+        stack.extend((child, nxt, records) for child, nxt in children)
+
+
 def covers_by_definition(elems):
     """Oracle Hasse edges: position pairs e < f with no element strictly between."""
     return sorted(

@@ -465,8 +465,12 @@ def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
 
     monkeypatch.setattr("thicklat.cli.enumerate_thick", refuse)
     assert run(capsys, "map", "--builtin", "an:4", "--datum", "/does/not/exist.json")[0] == 2
-    code, _, err = run(capsys, "generate", "--builtin", "an:4", "--points", "-1")
-    assert code == 2 and err.startswith("error:")
+    for argv in (["generate", "--builtin", "an:4", "--points", "-1"],
+                 ["generate", "--builtin", "an:4", "--seed", "-1"],
+                 ["generate", "--builtin", "an:4", "--seed", str(1 << 64)],
+                 ["compare", "--builtin", "a2"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
     invalid = str(GOLDEN / "an4-datum-invalid.json")
     for flags in ([], ["--json"]):
         assert run(capsys, "map", "--builtin", "an:4", "--datum", invalid, *flags)[0] == 1

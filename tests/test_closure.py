@@ -9,14 +9,17 @@ from conftest import (
     brute_force_thick,
     closed_by_sweep,
     closure_by_sweep,
+    fcbo_by_handoff,
     object_in,
     random_presentation,
+    random_tensor_presentation,
 )
 from thicklat import closure
 from thicklat.bitsets import canonical_key, mask_of
 from thicklat.closure import enumerate_thick, iter_closed, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.presentation import Presentation, Triangle, builtin
+from thicklat.tensor import ideal_closure
 
 A2 = builtin("a2")
 
@@ -200,6 +203,36 @@ def test_iter_closed_yields_each_once():
 
     seen = list(iter_closed(pres.size, close))
     assert len(seen) == len(set(seen)) == 52
+
+
+def assert_prunes_as_reference(pres, closure_fn):
+    # the same sets in the same order from the same close calls: each node's
+    # children see all of its failure records and none of their siblings'
+    def recording(calls):
+        def close(members, closed, stop):
+            calls.append(members)
+            return closure_fn(pres, members, closed, stop)
+        return close
+
+    ours, reference = [], []
+    assert (list(iter_closed(pres.size, recording(ours)))
+            == list(fcbo_by_handoff(pres.size, recording(reference))))
+    assert ours == reference
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_iter_closed_prunes_as_reference(seed):
+    assert_prunes_as_reference(random_presentation(seed), thick_closure)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_iter_closed_ideals_prune_as_reference(seed):
+    assert_prunes_as_reference(random_tensor_presentation(seed), ideal_closure)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_iter_closed_prunes_as_reference_on_an(n):
+    assert_prunes_as_reference(builtin("an", n), thick_closure)
 
 
 @pytest.mark.parametrize("n,ceiling", [(6, 2_000), (7, 10_000)])
