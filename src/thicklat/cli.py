@@ -31,7 +31,7 @@ from pathlib import Path
 from .bitsets import pick
 from .closure import enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
-from .lattice import DEFAULT_MAX_SIZE, _dot, analyze, export_dot
+from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
 from .presentation import Presentation, _decode_json, builtin, parse_presentation
 from .space import (
     ROTATIONS,
@@ -167,13 +167,14 @@ def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
 def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
     if args.dot == "-":
-        return export_dot(lat), EXIT_OK
+        return export_dot(lat, covering_pairs(lat)), EXIT_OK
     # the size guard runs first, so a run that exits 2 writes no file; the
     # file draws the report's covers instead of finding them again
     report = analyze(lat, max_size=args.max_size)
     if args.dot is not None:
         try:
-            Path(args.dot).write_text(_dot(lat, report.covers), encoding="utf-8", newline="\n")
+            Path(args.dot).write_text(export_dot(lat, report.covers),
+                                      encoding="utf-8", newline="\n")
         except OSError as exc:
             raise InvalidParameter(f"cannot write {args.dot}: {exc}") from exc
     laws = (("distributive", report.is_distributive, report.distributive_witness),
@@ -207,7 +208,7 @@ def _cmd_space(pres: Presentation, args: argparse.Namespace) -> Output:
 def _supports(sp: SupportSpace) -> dict[str, list[str]]:
     """Point labels of each indecomposable's support."""
     names = sp.lattice.presentation.names
-    return {name: pick(sp.space.points, sp.sup[a]) for a, name in enumerate(names)}
+    return {name: pick(sp.space.points, sp.sigma[a]) for a, name in enumerate(names)}
 
 
 def _support_lines(sp: SupportSpace, heading: str, sup_name: str) -> list[str]:
@@ -307,14 +308,13 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
         return {
             "primes": [pick(pres.names, q) for q in spectrum.primes],
             "supp": _supports(spectrum),
-            "support_axioms": _datum_report_doc(
-                PRIME_SUPPORT_AXIOMS, spectrum.as_datum(), pres),
+            "support_axioms": _datum_report_doc(PRIME_SUPPORT_AXIOMS, spectrum, pres),
             "unit_full": valid,
             "product_violations": [],
             "valid": valid,
         }, status
     return [*_support_lines(spectrum, "primes", "supp"),
-            *_datum_report_lines(PRIME_SUPPORT_AXIOMS, spectrum.as_datum(), pres),
+            *_datum_report_lines(PRIME_SUPPORT_AXIOMS, spectrum, pres),
             "unit: satisfied" if valid else "unit: violated (its support misses a prime)",
             "products: satisfied",
             f"verdict: {'valid' if valid else 'invalid'}"], status

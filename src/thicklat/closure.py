@@ -132,9 +132,9 @@ class ThickLattice:
 
     Canonical order sorts by cardinality with ties broken by the member
     sequence, so positions and serialized listings are byte-stable. The
-    lattice operations in ``lattice`` (joins, covers, ``analyze``,
-    ``export_dot``) close with ``thick_closure``, so they assume a family
-    closed under it and raise ``NotAnElement`` where a closure falls outside.
+    lattice operations in ``lattice`` (joins, covers, ``analyze``) close
+    with ``thick_closure``, so they assume a family closed under it and
+    raise ``NotAnElement`` where a closure falls outside.
     """
 
     presentation: Presentation

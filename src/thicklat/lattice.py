@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bitsets import pick
 from .closure import ThickLattice, thick_closure
-from .errors import NotAnElement, TooLarge
+from .errors import InvalidParameter, NotAnElement, TooLarge
 
 DEFAULT_MAX_SIZE = 10_000
 
@@ -196,18 +197,20 @@ def _edges(up: list[list[int]]) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, his in enumerate(up) for hi in his]
 
 
-def export_dot(lattice: ThickLattice) -> str:
-    """Hasse diagram in DOT syntax; nodes in canonical order, edges upward."""
-    return _dot(lattice, covering_pairs(lattice))
-
-
-def _dot(lattice: ThickLattice, edges) -> str:
-    """``export_dot`` on Hasse edges already found, such as ``analyze``'s."""
+def export_dot(lattice: ThickLattice, covers: Iterable[tuple[int, int]]) -> str:
+    """Hasse diagram in DOT syntax from edges already found, such as
+    ``covering_pairs(lattice)`` or ``analyze(lattice).covers``: nodes in
+    canonical order, edges upward. An edge that does not go up between two
+    positions of the lattice raises ``InvalidParameter``."""
     lines = ["digraph thick_lattice {", "  rankdir=BT;"]
     for i, label in enumerate(lattice.labels()):
         safe = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{safe}"];')
-    for lo, hi in edges:
+    n = len(lattice.elements)
+    for lo, hi in covers:
+        # canonical order is by size, so a cover lies at a higher position
+        if not 0 <= lo < hi < n:
+            raise InvalidParameter(f"edge ({lo}, {hi}) does not go up within the lattice")
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"

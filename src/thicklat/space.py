@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
 
@@ -72,30 +72,6 @@ class FinSpace:
 
 
 @dataclass(frozen=True)
-class SupportSpace:
-    """Closed subsets as points, each indecomposable supported on the points
-    that omit it.
-
-    Over every thick subset this is the universal support space; over the
-    prime ideals it is the prime spectrum.
-    """
-
-    lattice: ThickLattice
-    space: FinSpace
-    sup: tuple[int, ...]
-
-    def as_datum(self) -> SupportDatum:
-        return SupportDatum(self.space, self.sup)
-
-
-def build_sp(lattice: ThickLattice) -> SupportSpace:
-    """One point per element of ``lattice``, supports by omission."""
-    sup = omitted(lattice.elements, lattice.presentation.size)
-    space = FinSpace.generate(lattice.labels(), sup)
-    return SupportSpace(lattice, space, sup)
-
-
-@dataclass(frozen=True)
 class SupportDatum:
     """Closed support sets per indecomposable over a finite space.
 
@@ -108,7 +84,7 @@ class SupportDatum:
 
     space: FinSpace
     sigma: tuple[int, ...]
-    origin_map: tuple[int, ...] | None = None
+    origin_map: tuple[int, ...] | None = field(default=None, kw_only=True)
 
     def sigma_of(self, expr: ObjectExpr) -> int:
         """Support of a formal sum: the union over its components."""
@@ -116,6 +92,26 @@ class SupportDatum:
         for i in set(expr):
             m |= self.sigma[i]
         return m
+
+
+@dataclass(frozen=True)
+class SupportSpace(SupportDatum):
+    """Closed subsets as points, each indecomposable supported on the points
+    that omit it.
+
+    Over every thick subset this is the universal support space, itself a
+    support datum: the terminal one, into which every datum maps uniquely
+    and whose own map is the identity. Over the prime ideals it is the
+    prime spectrum.
+    """
+
+    lattice: ThickLattice
+
+
+def build_sp(lattice: ThickLattice) -> SupportSpace:
+    """One point per element of ``lattice``, supports by omission."""
+    sigma = omitted(lattice.elements, lattice.presentation.size)
+    return SupportSpace(FinSpace.generate(lattice.labels(), sigma), sigma, lattice)
 
 
 STRUCTURAL_AXIOMS: tuple[tuple[str, str], ...] = (
@@ -186,8 +182,8 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
     That set must be a thick subset, i.e. a point of the universal space;
     when it is not, the datum violated an axiom and NotThick is raised.
     The pullback identity holds by construction: x lies in the preimage of
-    sup(a) exactly when a is missing from the image of x, i.e. when x lies
-    in sigma(a).
+    sp.sigma[a] exactly when a is missing from the image of x, i.e. when x
+    lies in datum.sigma[a].
     """
     pres = sp.lattice.presentation
     _require_one_support_each(datum, pres)
@@ -226,7 +222,7 @@ def check_morphism(datum: SupportDatum, sp: SupportSpace,
         if not 0 <= t < len(elems):
             raise InvalidParameter(f"morphism target position {t} is out of range")
     names = sp.lattice.presentation.names
-    # x lies in the preimage of sup(a) exactly when a is missing from x's target
+    # x lies in the preimage of sp.sigma[a] exactly when a is missing from x's target
     pullbacks = omitted([elems[t] for t in morphism.mapping], len(names))
     for a, pre in enumerate(pullbacks):
         if pre != datum.sigma[a]:

@@ -66,7 +66,7 @@ def primes(pres: Presentation) -> Spectrum:
     found = tuple(q for q in enumerate_ideals(pres).elements
                   if q != full and _is_prime(q, n, product_masks))
     sp = build_sp(ThickLattice(pres, found))
-    return Spectrum(sp.lattice, sp.space, sp.sup)
+    return Spectrum(sp.space, sp.sigma, sp.lattice)
 
 
 def _is_prime(q: int, n: int, product_masks: tuple[tuple[int, ...], ...]) -> bool:

@@ -90,18 +90,16 @@ def closure_by_avoiding_union(space, mask):
 
 def tt_violations(space):
     """Oracle tensor-support check of a support space over a presentation
-    with a tensor table: the base-axiom report of its datum, whether the
-    unit is supported on every point, and the pairs x <= y of
-    indecomposables where the support of x*y is not the intersection of
-    theirs."""
+    with a tensor table: its base-axiom report, whether the unit is
+    supported on every point, and the pairs x <= y of indecomposables where
+    the support of x*y is not the intersection of theirs."""
     pres = space.lattice.presentation
     table = pres.tensor
-    datum = space.as_datum()
-    unit_full = datum.sigma_of(table.unit) == datum.space.full_mask
+    unit_full = space.sigma_of(table.unit) == space.space.full_mask
     products = tuple(
         (x, y) for x in range(pres.size) for y in range(x, pres.size)
-        if datum.sigma_of(table.table[x][y]) != datum.sigma[x] & datum.sigma[y])
-    return check_support_datum(datum, pres), unit_full, products
+        if space.sigma_of(table.table[x][y]) != space.sigma[x] & space.sigma[y])
+    return check_support_datum(space, pres), unit_full, products
 
 
 def random_presentation(seed, max_indecs=12, max_triangles=10):

@@ -80,13 +80,13 @@ def test_criterion_2_universal_datum_identity(capsys):
         started = time.perf_counter()
         pres = builtin("a2")
         sp = build_sp(enumerate_thick(pres))
-        report = check_support_datum(sp.as_datum(), pres)
+        report = check_support_datum(sp, pres)
         assert report.valid
         assert report.triangle_violations == () and report.unclosed == ()
-        f = universal_morphism(sp.as_datum(), sp)
+        f = universal_morphism(sp, sp)
         assert f.mapping == tuple(range(5))
         for a in range(pres.size):
-            assert preimage(f, sp.sup[a]) == sp.sup[a]
+            assert preimage(f, sp.sigma[a]) == sp.sigma[a]
         assert time.perf_counter() - started < 1.0
         return "identity on 5 points, exact pullback"
     _criterion(2, body, capsys)
@@ -112,7 +112,7 @@ def test_criterion_3_finality_round_trip(capsys):
                     f = universal_morphism(datum, sp)
                     assert f.mapping == datum.origin_map
                     for a in range(size):
-                        assert preimage(f, sp.sup[a]) == datum.sigma[a]
+                        assert preimage(f, sp.sigma[a]) == datum.sigma[a]
                     assert check_morphism(datum, sp, f).ok
                     cases += 1
         elapsed = time.perf_counter() - started
@@ -218,7 +218,7 @@ def test_criterion_7_compression(capsys):
             position = sp.lattice.position
             assert morphism.mapping == tuple(position[q] for q in spectrum.primes)
             for a in range(pres.size):
-                assert preimage(morphism, sp.sup[a]) == spectrum.sup[a]
+                assert preimage(morphism, sp.sigma[a]) == spectrum.sigma[a]
             assert verify_tt_support(spectrum)
             base, unit_full, products = tt_violations(spectrum)
             assert base.valid and unit_full and products == ()

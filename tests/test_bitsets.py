@@ -101,8 +101,8 @@ def test_pick_matches_bits_on_an8_supports(an8):
     # the widest masks the CLI lists
     sp = build_sp(an8)
     points = sp.space.points
-    assert len(points) == 21_147 and len(sp.sup) == 36
-    for mask in sp.sup:
+    assert len(points) == 21_147 and len(sp.sigma) == 36
+    for mask in sp.sigma:
         assert pick(points, mask) == pick_by_bits(points, mask)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -95,6 +97,13 @@ def test_lattice_dot_file_waits_for_the_guard(capsys, tmp_path):
     assert (code, out) == (0, (GOLDEN / "lattice-a2.txt").read_text(encoding="utf-8"))
     assert target.read_text(encoding="utf-8") == (GOLDEN / "lattice-a2.dot").read_text(
         encoding="utf-8")
+
+
+def test_lattice_dot_file_that_cannot_be_written_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "a2.gv"
+    code, out, err = run(capsys, "lattice", "--builtin", "a2", "--dot", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}:") and err.count("\n") == 1
 
 
 def test_lattice_dot_file_adds_no_closure_calls(capsys, monkeypatch, tmp_path):
@@ -304,6 +313,14 @@ def test_byte_identical_reruns(capsys):
         assert first == second
 
 
+def test_text_stream_without_a_buffer_gets_the_same_text():
+    # a replaced sys.stdout may have no binary buffer: main writes text to it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", "--builtin", "a2"]) == 0
+    assert out.getvalue() == (GOLDEN / "enumerate-a2.txt").read_text(encoding="utf-8")
+
+
 A2_DATUM = {"points": ["u"], "sigma": {"P1": [], "P2": [], "S2": []}}
 # bytes no JSON reader should turn into a traceback
 UNREADABLE = {
@@ -377,6 +394,8 @@ READER_CASES = [
      ValidationError, "indecomposables"),
     ("presentation", "unknown-name", {**TENSOR_A, "triangles": [[["a"], ["z"], []]]},
      ValidationError, "triangle 0"),
+    ("presentation", "bare-member", {**TENSOR_A, "triangles": [["a", ["b"], []]]},
+     SchemaError, "triangle 0"),
     ("presentation", "extra-key", {**TENSOR_A, "extra": []}, SchemaError, "presentation"),
     ("presentation", "missing-key", _without(TENSOR_A, "triangles"),
      SchemaError, "presentation"),
@@ -397,6 +416,9 @@ READER_CASES = [
      ValidationError, "points"),
     ("datum", "unknown-name", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "P1": ["w"]}},
      ValidationError, "sigma[P1]"),
+    ("datum", "bare-member", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "P1": "u"}},
+     SchemaError, "sigma[P1]"),
+    ("datum", "bare-closed", {**A2_DATUM, "closed": "u"}, SchemaError, "closed"),
     ("datum", "extra-key", {**A2_DATUM, "extra": []}, SchemaError, "support datum"),
     ("datum", "missing-key", _without(A2_DATUM, "sigma"), SchemaError, "support datum"),
     ("datum", "extra-entry", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "Z": []}},

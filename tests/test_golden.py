@@ -14,6 +14,9 @@ checks and a product loop on every spectrum.
 ``generate-an4.json`` is both the ``generate`` golden and the valid datum fed
 to ``check`` and ``map``; ``an4-datum-invalid.json`` moves one support and
 ``an4-morphism-mutated.json`` sends ``x0`` to the image of ``x3``.
+The ``check-a2-unclosed`` goldens, the only ``check`` run whose supports are
+not closed, were written by commit 65d5d36, whose universal support space
+was a type of its own beside ``SupportDatum``.
 
 The ``enumerate-*`` goldens and ``parser-contract.json`` were written by the
 CLI whose handlers each loaded the presentation and rendered their own
@@ -86,6 +89,9 @@ DATA = {
     "invalid": ["--datum", str(GOLDEN / "an4-datum-invalid.json")],
 }
 MUTATED = ["--morphism", str(GOLDEN / "an4-morphism-mutated.json")]
+# an a2 datum with no closed set but the empty and the full one: the supports
+# of P1 and P2 are not closed, and the triangles hold
+UNCLOSED = ["--datum", str(GOLDEN / "a2-datum-unclosed.json")]
 
 
 def _support_cases():
@@ -98,6 +104,7 @@ def _support_cases():
             cases[f"check-an4-{kind}.{fmt}"] = ["check", *AN4, *datum, *flags]
             cases[f"map-an4-{kind}.{fmt}"] = ["map", *AN4, *datum, *flags]
         cases[f"map-an4-mutated.{fmt}"] = ["map", *AN4, *DATA["valid"], *MUTATED, *flags]
+        cases[f"check-a2-unclosed.{fmt}"] = ["check", "--builtin", "a2", *UNCLOSED, *flags]
     return cases
 
 

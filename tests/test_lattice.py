@@ -12,7 +12,7 @@ from conftest import (
 from thicklat import lattice
 from thicklat.bitsets import mask_of
 from thicklat.closure import enumerate_thick, thick_closure
-from thicklat.errors import NotAnElement, TooLarge
+from thicklat.errors import InvalidParameter, NotAnElement, TooLarge
 from thicklat.lattice import analyze, covering_pairs, export_dot, join, meet
 from thicklat.presentation import Presentation, Triangle, builtin
 from thicklat.tensor import enumerate_ideals
@@ -181,26 +181,36 @@ def test_analyze_size_guard():
         analyze(A2_LAT, max_size=3)
 
 
+def dot_of(lat):
+    return export_dot(lat, covering_pairs(lat))
+
+
 def test_export_dot_counts():
-    point_dot = export_dot(enumerate_thick(builtin("point")))
+    point_dot = dot_of(enumerate_thick(builtin("point")))
     assert point_dot.count("[label=") == 2
     assert point_dot.count(" -> ") == 1
 
-    a2_dot = export_dot(A2_LAT)
+    a2_dot = dot_of(A2_LAT)
     assert a2_dot.count("[label=") == 5
     assert a2_dot.count(" -> ") == 6
 
-    empty_dot = export_dot(enumerate_thick(Presentation((), ())))
+    empty_dot = dot_of(enumerate_thick(Presentation((), ())))
     assert empty_dot.count("[label=") == 1
     assert empty_dot.count(" -> ") == 0
 
 
 def test_export_dot_shape():
-    dot = export_dot(A2_LAT)
+    dot = dot_of(A2_LAT)
     assert dot.startswith("digraph thick_lattice {")
     assert dot.endswith("}\n")
     assert '  n0 [label="{}"];' in dot
     assert "  n0 -> n1;" in dot
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 4), (4, 0), (1, 1)])
+def test_export_dot_refuses_an_edge_that_does_not_go_up_within_the_lattice(edge):
+    with pytest.raises(InvalidParameter, match="does not go up within the lattice"):
+        export_dot(A2_LAT, [(0, 1), edge])
 
 
 def test_covering_pairs_a2():
@@ -228,13 +238,12 @@ def test_operations_on_ideal_lattices_answer_exactly_or_refuse():
             pairs = None
         else:
             assert sorted(pairs) == covers_by_definition(lat.elements)
-        for operation in (analyze, export_dot):
-            try:
-                operation(lat)
-            except NotAnElement:
-                assert pairs is None
-            else:
-                assert pairs is not None
+        try:
+            analyze(lat)
+        except NotAnElement:
+            assert pairs is None
+        else:
+            assert pairs is not None
         join_refused = False
         for j in lat.elements:
             for k in lat.elements:

@@ -1,4 +1,4 @@
-"""Gates read off the package source."""
+"""Gates read off the package source and its README."""
 
 import ast
 import importlib
@@ -54,3 +54,11 @@ def test_names_the_benchmark_traces_still_resolve():
     assert callable(thicklat.space.FinSpace.is_closed)
     # the size counter for tensor.primes reads the spectrum's points by this name
     assert isinstance(thicklat.Spectrum.primes, property)
+
+
+def test_readme_library_example_runs():
+    # the first python block after "## Library", run as it stands
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    exec(compile(library[start:library.index("```", start)], "README.md", "exec"), {})

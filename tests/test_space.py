@@ -118,28 +118,29 @@ def test_finspace_no_generators():
 
 def test_build_sp_a2():
     assert len(A2_SP.space.points) == 5
-    assert A2_SP.sup[0] == positions_of(A2_SP, "{}", "{P2}", "{S2}")
-    assert A2_SP.sup[0].bit_count() == 3
-    assert A2_SP.as_datum().sigma_of(()) == 0  # the zero object is supported nowhere
+    assert A2_SP.sigma[0] == positions_of(A2_SP, "{}", "{P2}", "{S2}")
+    assert A2_SP.sigma[0].bit_count() == 3
+    assert A2_SP.sigma_of(()) == 0  # the zero object is supported nowhere
 
 
 def test_build_sp_point():
     sp = build_sp(enumerate_thick(builtin("point")))
     assert sp.space.points == ("{}", "{k}")
-    assert sp.sup[0] == positions_of(sp, "{}")
+    assert sp.sigma[0] == positions_of(sp, "{}")
 
 
 def test_sp_is_a_valid_datum():
     for pres in (A2, builtin("an", 3), builtin("product", 2), builtin("point")):
         sp = build_sp(enumerate_thick(pres))
-        assert check_support_datum(sp.as_datum(), pres).valid
+        assert isinstance(sp, SupportDatum) and sp.origin_map is None
+        assert check_support_datum(sp, pres).valid
 
 
 def test_sup_union_compatible_over_objects():
     rng = random.Random(3)
     for pres in (A2, builtin("an", 3), builtin("product", 3)):
         sp = build_sp(enumerate_thick(pres))
-        sup_of = sp.as_datum().sigma_of
+        sup_of = sp.sigma_of
         for _ in range(50):
             x = make_expr(rng.choices(range(pres.size), k=rng.randint(0, 3)))
             y = make_expr(rng.choices(range(pres.size), k=rng.randint(0, 3)))
@@ -203,7 +204,7 @@ def test_build_sp_satisfies_the_axioms_over_any_family(seed):
     for _ in range(10):
         family = tuple(e for e in elements if rng.random() < 0.5)
         sp = build_sp(ThickLattice(pres, family))
-        assert check_support_datum(sp.as_datum(), pres).valid
+        assert check_support_datum(sp, pres).valid
 
 
 # --------------------------------------------------------------------------
@@ -213,9 +214,9 @@ def test_build_sp_satisfies_the_axioms_over_any_family(seed):
 def test_universal_morphism_identity_on_sp():
     for pres in (A2, builtin("an", 3), builtin("product", 2), builtin("point")):
         sp = build_sp(enumerate_thick(pres))
-        f = universal_morphism(sp.as_datum(), sp)
+        f = universal_morphism(sp, sp)
         assert f.mapping == tuple(range(len(sp.lattice.elements)))
-        assert check_morphism(sp.as_datum(), sp, f).ok
+        assert check_morphism(sp, sp, f).ok
 
 
 def test_universal_morphism_constant_empty_sigma():
@@ -242,7 +243,7 @@ def test_check_morphism_counterexample_named():
     report = check_morphism(datum, A2_SP, g)
     assert not report.ok
     assert report.pullback_failure == "P1"
-    assert preimage(g, A2_SP.sup[0]) == 0b1 != datum.sigma[0]
+    assert preimage(g, A2_SP.sigma[0]) == 0b1 != datum.sigma[0]
 
 
 def test_check_morphism_continuity_failure():
@@ -287,9 +288,9 @@ def test_check_morphism_never_fails_continuity_on_valid_data(n):
 
 def test_check_morphism_validates_shape():
     with pytest.raises(InvalidParameter):
-        check_morphism(A2_SP.as_datum(), A2_SP, SupportMorphism((0,)))
+        check_morphism(A2_SP, A2_SP, SupportMorphism((0,)))
     with pytest.raises(InvalidParameter):
-        check_morphism(A2_SP.as_datum(), A2_SP, SupportMorphism((9,) * 5))
+        check_morphism(A2_SP, A2_SP, SupportMorphism((9,) * 5))
 
 
 @pytest.mark.parametrize("count", [3, 8])
@@ -363,7 +364,7 @@ def test_finality_round_trip(family, n):
             f = universal_morphism(datum, sp)
             assert f.mapping == datum.origin_map
             for a in range(pres.size):
-                assert preimage(f, sp.sup[a]) == datum.sigma[a]
+                assert preimage(f, sp.sigma[a]) == datum.sigma[a]
             assert check_morphism(datum, sp, f).ok
 
 
@@ -392,7 +393,7 @@ def test_uniqueness_mutations_fail(family, n):
 def assert_pullback_identity(datum, sp):
     f = universal_morphism(datum, sp)
     for a, sigma_a in enumerate(datum.sigma):
-        assert preimage(f, sp.sup[a]) == sigma_a
+        assert preimage(f, sp.sigma[a]) == sigma_a
 
 
 @pytest.mark.parametrize("family,n", [

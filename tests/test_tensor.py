@@ -125,14 +125,14 @@ def test_iter_closed_ideals_are_unchanged_by_stopping(seed):
 def test_primes_product2():
     spectrum = primes(PRODUCT2)
     assert spectrum.space.points == ("{e1}", "{e2}")
-    assert pick(spectrum.space.points, spectrum.sup[0]) == ["{e2}"]
+    assert pick(spectrum.space.points, spectrum.sigma[0]) == ["{e2}"]
     assert 0 not in spectrum.primes  # the zero ideal fails primality: e1*e2 = 0
 
 
 def test_primes_point():
     spectrum = primes(POINT)
     assert spectrum.primes == (0,)
-    assert spectrum.sup[0] == 0b1
+    assert spectrum.sigma[0] == 0b1
 
 
 def test_primes_product3_are_coatoms():
@@ -170,7 +170,7 @@ def test_pair_primality_implies_object_primality():
 def test_spectrum_satisfies_base_axioms():
     for pres in TENSOR_BUILTINS:
         spectrum = primes(pres)
-        assert check_support_datum(spectrum.as_datum(), pres).valid
+        assert check_support_datum(spectrum, pres).valid
 
 
 def test_supp_turns_products_into_intersections():
@@ -178,8 +178,8 @@ def test_supp_turns_products_into_intersections():
         spectrum = primes(pres)
         for x in range(pres.size):
             for y in range(pres.size):
-                got = spectrum.as_datum().sigma_of(pres.tensor.table[x][y])
-                assert got == spectrum.sup[x] & spectrum.sup[y]
+                got = spectrum.sigma_of(pres.tensor.table[x][y])
+                assert got == spectrum.sigma[x] & spectrum.sigma[y]
 
 
 def test_verify_tt_support_valid():
@@ -256,14 +256,14 @@ def test_comparison_map_pullback():
         sp = build_sp(enumerate_thick(pres))
         morphism = comparison_map(spectrum, sp.lattice)
         for a in range(pres.size):
-            assert preimage(morphism, sp.sup[a]) == spectrum.sup[a]
+            assert preimage(morphism, sp.sigma[a]) == spectrum.sigma[a]
 
 
 def assert_comparison_is_universal(pres):
     spectrum = primes(pres)
     lattice = enumerate_thick(pres)
     inclusion = comparison_map(spectrum, lattice)
-    assert universal_morphism(spectrum.as_datum(), build_sp(lattice)) == inclusion
+    assert universal_morphism(spectrum, build_sp(lattice)) == inclusion
     # what `compare` prints as the constants `injective` and `iota_fixes_primes`
     mapping = inclusion.mapping
     assert len(set(mapping)) == len(mapping)
