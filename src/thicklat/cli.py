@@ -28,7 +28,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .bitsets import pick
+from .bitsets import omitted, pick
 from .closure import enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
@@ -46,11 +46,9 @@ from .space import (
     datum_from_document,
     datum_to_document,
     morphism_from_document,
-    morphism_to_document,
     random_support_datum,
-    universal_morphism,
 )
-from .tensor import comparison_map, primes, verify_tt_support
+from .tensor import primes, verify_tt_support
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -82,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p["lattice"].add_argument("--dot", nargs="?", const="-", metavar="PATH",
                               help="emit the Hasse diagram as DOT (to PATH, or stdout)")
     p["lattice"].add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
-                              metavar="COUNT", help="largest lattice the law checks accept")
+                              metavar="COUNT", help="largest lattice to report on or draw")
     for name in ("check", "map"):
         p[name].add_argument("--datum", required=True, metavar="PATH")
     p["map"].add_argument("--morphism", metavar="PATH",
@@ -166,10 +164,10 @@ def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
 
 def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
+    # the size guard runs before any cover is found, so a run that exits 2
+    # writes nothing; the file draws the report's covers, not new ones
     if args.dot == "-":
-        return export_dot(lat, covering_pairs(lat)), EXIT_OK
-    # the size guard runs first, so a run that exits 2 writes no file; the
-    # file draws the report's covers instead of finding them again
+        return export_dot(lat, covering_pairs(lat, args.max_size)), EXIT_OK
     report = analyze(lat, max_size=args.max_size)
     if args.dot is not None:
         try:
@@ -267,24 +265,26 @@ def _datum_report_lines(report: DatumReport, datum, pres: Presentation) -> list[
 
 
 def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
-    # the datum is read and checked before the enumeration, so a bad datum
-    # costs no more than `check` does
+    # as in ``universal_morphism``, a point goes to the objects whose support
+    # avoids it, a thick subset once the triangles hold, so only a --morphism
+    # target (any point's label) needs the universal space
     datum = datum_from_document(_load_json(args.datum), pres)
     if not check_support_datum(datum, pres).valid:
         if args.json:
             return {"datum_valid": False, "valid": False}, EXIT_INVALID
         return ["datum: invalid (run `thicklat check` for details)",
                 "verdict: invalid"], EXIT_INVALID
-    sp = build_sp(enumerate_thick(pres))
     if args.morphism:
+        sp = build_sp(enumerate_thick(pres))
         morphism = morphism_from_document(_load_json(args.morphism), datum, sp)
         report = check_morphism(datum, sp, morphism)
+        targets = [sp.space.points[t] for t in morphism.mapping]
     else:
-        morphism = universal_morphism(datum, sp)
+        targets = map(pres.label, omitted(datum.sigma, len(datum.space.points)))
         # its pullbacks are the datum's supports by construction
         report = MorphismReport(True)
     status = EXIT_OK if report.ok else EXIT_INVALID
-    mapping = morphism_to_document(morphism, datum, sp)["map"]
+    mapping = dict(zip(datum.space.points, targets))
     # the datum is valid, so a pullback equal to its support is closed and
     # continuity cannot fail once the pullbacks pass
     if args.json:
@@ -322,11 +322,10 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
 
 def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
     spectrum = primes(pres)  # raises NoTensor before the enumeration
-    lattice = enumerate_thick(pres)
-    inclusion = comparison_map(spectrum, lattice)
     # the comparison map is the inclusion of the primes, so "fixes primes"
-    # and "injective" are theorems, not checks
-    doc = {"spectrum_points": len(inclusion.mapping), "universal_points": len(lattice),
+    # and "injective" are theorems, not checks, and its size is theirs
+    doc = {"spectrum_points": len(spectrum.primes),
+           "universal_points": len(enumerate_thick(pres)),
            "iota_fixes_primes": True, "injective": True}
     if args.json:
         return doc, EXIT_OK

@@ -82,11 +82,9 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
     ``NotAnElement``, and an answer that is given is exact.
     """
     n = len(lattice.elements)
-    if n > max_size:
-        raise TooLarge(f"lattice has {n} elements, guard is {max_size}")
     elems = lattice.elements
     pres = lattice.presentation
-    up = _upper_covers(lattice)
+    up = _upper_covers(lattice, max_size)
     covers = _edges(up)
     down: list[list[int]] = [[] for _ in range(n)]
     heights = [0] * n
@@ -163,7 +161,7 @@ def _first_modular_witness(elems, jn) -> LawWitness | None:
     return None
 
 
-def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
+def _upper_covers(lattice: ThickLattice, max_size: int) -> list[list[int]]:
     """Positions of each element's upper covers, ascending: the minimal sets
     among the closures of the element plus one more indecomposable.
 
@@ -171,6 +169,8 @@ def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
     a cover already accepted lies inside it.
     """
     elems = lattice.elements
+    if len(elems) > max_size:
+        raise TooLarge(f"lattice has {len(elems)} elements, guard is {max_size}")
     pres = lattice.presentation
     out = []
     for e in elems:
@@ -188,9 +188,10 @@ def _upper_covers(lattice: ThickLattice) -> list[list[int]]:
     return out
 
 
-def covering_pairs(lattice: ThickLattice) -> list[tuple[int, int]]:
-    """Hasse edges as (lower position, upper position) in canonical order."""
-    return _edges(_upper_covers(lattice))
+def covering_pairs(lattice: ThickLattice,
+                   max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[int, int]]:
+    """Hasse edges as (lower, upper) positions in canonical order; TooLarge past ``max_size``."""
+    return _edges(_upper_covers(lattice, max_size))
 
 
 def _edges(up: list[list[int]]) -> list[tuple[int, int]]:

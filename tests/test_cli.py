@@ -1,18 +1,26 @@
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import random_presentation, random_tensor_presentation
 from thicklat import lattice
 from thicklat.cli import _json_text, _load_presentation, _parser, _render, main
 from thicklat.closure import enumerate_thick
 from thicklat.errors import SchemaError, ValidationError
-from thicklat.presentation import _decode_json, builtin, parse_presentation
+from thicklat.presentation import (
+    _decode_json,
+    builtin,
+    parse_presentation,
+    presentation_to_document,
+)
 from thicklat.space import (
     build_sp,
+    check_support_datum,
     datum_from_document,
     datum_to_document,
     morphism_from_document,
@@ -97,6 +105,16 @@ def test_lattice_dot_file_waits_for_the_guard(capsys, tmp_path):
     assert (code, out) == (0, (GOLDEN / "lattice-a2.txt").read_text(encoding="utf-8"))
     assert target.read_text(encoding="utf-8") == (GOLDEN / "lattice-a2.dot").read_text(
         encoding="utf-8")
+
+
+def test_lattice_dot_stdout_waits_for_the_guard(capsys):
+    # one guard and one message for the report, the DOT file and DOT on stdout
+    message = "error: lattice has 5 elements, guard is 3\n"
+    for dot in ([], ["--dot", "-"], ["--dot"]):
+        assert run(capsys, "lattice", "--builtin", "a2", *dot, "--max-size", "3") == (
+            2, "", message)
+    code, out, _ = run(capsys, "lattice", "--builtin", "a2", "--dot", "-", "--max-size", "5")
+    assert (code, out) == (0, (GOLDEN / "lattice-a2.dot").read_text(encoding="utf-8"))
 
 
 def test_lattice_dot_file_that_cannot_be_written_exits_2(capsys, tmp_path):
@@ -496,6 +514,113 @@ def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
     invalid = str(GOLDEN / "an4-datum-invalid.json")
     for flags in ([], ["--json"]):
         assert run(capsys, "map", "--builtin", "an:4", "--datum", invalid, *flags)[0] == 1
+
+
+def _refuse(*args):
+    raise RuntimeError("built the universal space")
+
+
+def test_map_without_morphism_builds_no_universal_space(capsysbinary, monkeypatch):
+    status = json.loads((GOLDEN / "exit-status.json").read_text())
+    valid = ["--datum", str(GOLDEN / "generate-an4.json")]
+    argv = {"valid": valid, "invalid": ["--datum", str(GOLDEN / "an4-datum-invalid.json")],
+            "mutated": [*valid, "--morphism", str(GOLDEN / "an4-morphism-mutated.json")]}
+    formats = {"txt": [], "json": ["--json"]}
+
+    def assert_golden(kind, fmt):
+        code = main(["map", "--builtin", "an:4", *argv[kind], *formats[fmt]])
+        golden = f"map-an4-{kind}.{fmt}"
+        assert (code, capsysbinary.readouterr().out) == (
+            status[golden], (GOLDEN / golden).read_bytes())
+
+    with monkeypatch.context() as patch:
+        patch.setattr("thicklat.cli.enumerate_thick", _refuse)
+        patch.setattr("thicklat.cli.build_sp", _refuse)
+        for fmt in formats:
+            assert_golden("valid", fmt)
+            assert_golden("invalid", fmt)
+            # only a --morphism target, any point's label, needs the space
+            with pytest.raises(RuntimeError):
+                assert_golden("mutated", fmt)
+    for fmt in formats:
+        assert_golden("mutated", fmt)
+
+
+def test_map_an20_without_the_universal_space(capsys, monkeypatch, tmp_path):
+    # an:20 has Bell(21), about 4.7e14, thick subsets: one per partition of
+    # 0..20, holding the intervals [i,j] whose ends share a block
+    pres = builtin("an", 20)
+    blocks = {"bottom": lambda i: i, "parity": lambda i: i % 2,
+              "halves": lambda i: i > 10, "top": lambda i: 0}
+    doc = {"points": list(blocks), "sigma": {name: [] for name in pres.names}}
+    images = {}
+    for point, block in blocks.items():
+        image = []
+        for name in pres.names:
+            i, j = map(int, name[1:-1].split(","))
+            if block(i) == block(j):
+                image.append(name)
+            else:
+                doc["sigma"][name].append(point)
+        images[point] = "{" + ",".join(image) + "}"
+    path = tmp_path / "an20.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr("thicklat.cli.enumerate_thick", _refuse)
+    monkeypatch.setattr("thicklat.cli.build_sp", _refuse)
+    code, out, _ = run(capsys, "map", "--builtin", "an:20", "--datum", str(path))
+    assert code == 0
+    assert out == "".join(f"{x} -> {images[x]}\n" for x in blocks) + (
+        "pullback: ok\ncontinuity: ok\nverdict: valid\n")
+    assert images["bottom"] == "{}" and images["top"] == pres.label(pres.full_mask)
+
+
+# point names for arbitrary datums, one of them spelled like a label
+POINT_NAMES = ("u", "v", "w", "x0", "\xe9", "a b", "{P1}")
+
+
+@pytest.mark.parametrize("source", [
+    "a2", "point", "an:3", "an:4", "product:3", "random:0", "random:5", "tensor:0",
+    "tensor:11",
+    # degenerate triangles close the empty set up to everything, the one thick subset
+    "random:9",
+])
+def test_map_matches_the_universal_morphism(capsys, tmp_path, source):
+    # the canonical map that `map` reads off the datum is the one that
+    # universal_morphism finds among the points of the universal space
+    family, _, n = source.partition(":")
+    if family in ("random", "tensor"):
+        draw = random_presentation if family == "random" else random_tensor_presentation
+        pres = draw(int(n))
+        path = tmp_path / "presentation.json"
+        path.write_text(json.dumps(presentation_to_document(pres)), encoding="utf-8")
+        argv = ["--input", str(path)]
+    else:
+        pres = builtin(family, int(n) if n else None)
+        argv = ["--builtin", source]
+    sp = build_sp(enumerate_thick(pres))
+    rng = random.Random(len(pres.names))
+    docs = [datum_to_document(random_support_datum(sp, seed % 6, seed), pres)
+            for seed in range(6)]
+    # arbitrary supports over named points, kept when check accepts them
+    for _ in range(200):
+        points = rng.sample(POINT_NAMES, rng.randint(1, 4))
+        density = rng.random() ** 2
+        doc = {"points": points,
+               "sigma": {name: [p for p in points if rng.random() < density]
+                         for name in pres.names}}
+        if check_support_datum(datum_from_document(doc, pres), pres).valid:
+            docs.append(doc)
+    assert len(docs) >= 20
+    datum_path = tmp_path / "datum.json"
+    for doc in docs:
+        datum_path.write_text(json.dumps(doc), encoding="utf-8")
+        datum = datum_from_document(doc, pres)
+        expected = morphism_to_document(universal_morphism(datum, sp), datum, sp)["map"]
+        code, out, _ = run(capsys, "map", *argv, "--datum", str(datum_path), "--json")
+        assert code == 0 and json.loads(out)["map"] == expected
+        code, out, _ = run(capsys, "map", *argv, "--datum", str(datum_path))
+        assert code == 0 and out == "".join(f"{x} -> {t}\n" for x, t in expected.items()) + (
+            "pullback: ok\ncontinuity: ok\nverdict: valid\n")
 
 
 def test_memory_error_while_computing_exits_2(capsys, monkeypatch):

@@ -11,6 +11,8 @@ universal morphism; ``exit-status.json`` holds the exit status of each.
 The ``unit-empty`` goldens, the only ``spectrum`` run that exits 1, were
 written by commit fdcf5ca, whose ``spectrum`` still re-ran the base axiom
 checks and a product loop on every spectrum.
+The ``map`` goldens were written when ``map`` built the whole universal space
+to name each image.
 ``generate-an4.json`` is both the ``generate`` golden and the valid datum fed
 to ``check`` and ``map``; ``an4-datum-invalid.json`` moves one support and
 ``an4-morphism-mutated.json`` sends ``x0`` to the image of ``x3``.
@@ -21,7 +23,8 @@ was a type of its own beside ``SupportDatum``.
 The ``enumerate-*`` goldens and ``parser-contract.json`` were written by the
 CLI whose handlers each loaded the presentation and rendered their own
 output, before the handlers were reduced to one load-compute-render
-pipeline.
+pipeline. The contract's ``--max-size`` help was re-recorded when the size
+guard came to cover ``lattice --dot -`` as well.
 
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text

@@ -181,6 +181,16 @@ def test_analyze_size_guard():
         analyze(A2_LAT, max_size=3)
 
 
+def test_covering_pairs_size_guard_comes_before_any_closure(monkeypatch):
+    # analyze and covering_pairs share one guard, checked before the covers
+    monkeypatch.setattr(lattice, "thick_closure", None)
+    for find in (analyze, covering_pairs):
+        with pytest.raises(TooLarge, match="^lattice has 5 elements, guard is 4$"):
+            find(A2_LAT, max_size=4)
+    monkeypatch.undo()
+    assert covering_pairs(A2_LAT, max_size=5) == covering_pairs(A2_LAT)
+
+
 def dot_of(lat):
     return export_dot(lat, covering_pairs(lat))
 

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import closed_sets, closure_by_avoiding_union, preimage, random_presentation
+from conftest import (
+    closed_sets,
+    closure_by_avoiding_union,
+    preimage,
+    random_presentation,
+    random_tensor_presentation,
+)
 from thicklat.bitsets import mask_of
 from thicklat.closure import ThickLattice, enumerate_thick
 from thicklat.errors import InvalidParameter, NotThick, ValidationError
@@ -430,6 +436,37 @@ def test_pullback_identity_on_parsed_documents(family, n):
         mapped += 1
         rejected += not check_support_datum(datum, pres).valid
     assert mapped >= 50 and rejected > 0
+
+
+@pytest.mark.parametrize("draw", [random_presentation, random_tensor_presentation],
+                         ids=["plain", "tensor"])
+def test_accepted_data_map_to_thick_subsets(draw):
+    # `map` labels each point's image without looking it up among the thick
+    # subsets. That is safe: a point that avoids the supports of two
+    # vertices of a triangle avoids the third's by the triangle axiom, so
+    # every datum that check accepts sends each point to a thick subset
+    rng = random.Random(16)
+    accepted = rejected = 0
+    for seed in range(40):
+        pres = draw(seed)
+        sp = build_sp(enumerate_thick(pres))
+        for _ in range(30):
+            points = [f"p{i}" for i in range(rng.randint(1, 3))]
+            density = rng.random()
+            doc = {"points": points,
+                   "sigma": {name: [p for p in points if rng.random() < density]
+                             for name in pres.names}}
+            if rng.random() < 0.5:
+                doc["closed"] = [rng.sample(points, rng.randint(0, len(points)))
+                                 for _ in range(rng.randint(0, 3))]
+            datum = datum_from_document(doc, pres)
+            if not check_support_datum(datum, pres).valid:
+                rejected += 1
+                continue
+            universal_morphism(datum, sp)  # raises NotThick off the thick subsets
+            # a datum with every support empty maps each point to the top
+            accepted += any(datum.sigma)
+    assert accepted >= 150 and rejected >= 150
 
 
 # --------------------------------------------------------------------------
