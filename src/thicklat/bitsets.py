@@ -8,9 +8,8 @@ C-level pass over its digits, linear in its width, for names, indices
 (``pick(range(n), mask)``) and per-point values. ``omitted`` transposes
 many rows at once. Inline low-bit loops stay in ``closure.propagate`` and
 ``closure.iter_closed``, whose worklists change mid-walk (``pick`` took
-product:15's ideals from 0.082 to 0.100 s), and in ``tensor._is_prime``'s
-pair walk (0.060 to 0.110 s); in-process medians of 7, 2-vCPU Xeon VM,
-Python 3.11.
+product:15's ideals from 0.082 to 0.100 s; in-process medians of 7, 2-vCPU
+Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ fully validated; direct construction trusts the caller.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -138,6 +139,7 @@ def presentation_from_document(doc: object) -> Presentation:
         if NAME_SEPARATOR in name:
             raise ValidationError(
                 f"indecomposables: name {name!r} contains the reserved {NAME_SEPARATOR!r}")
+    _check_labels_decodable(names)
     index = {name: i for i, name in enumerate(names)}
     raw_triangles = doc["triangles"]
     if not isinstance(raw_triangles, list):
@@ -241,6 +243,68 @@ def _parse_names(raw: object, where: str) -> tuple[str, ...]:
             raise ValidationError(f"{where}: duplicate name {name!r}")
         seen.add(name)
     return tuple(raw)
+
+
+def _check_labels_decodable(names: tuple[str, ...]) -> None:
+    """Reject names under which two subsets could share a label.
+
+    A label's inner text followed by "," spells the words name + "," of
+    its members in index order. The Sardinas-Patterson test (1953) decides
+    whether those words are uniquely decodable, so that every text parses
+    one way; then labels are injective. The test ignores index order, so it
+    also rejects some names whose labels all differ, such as x, y and y,x.
+    """
+    ordered = sorted(name + "," for name in names)
+    if not any(map(str.startswith, ordered[1:], ordered)):
+        return  # a word that prefixes any other prefixes its successor here
+    words = set(ordered)
+    lengths = sorted(set(map(len, ordered)))
+    # A state (w, k) stands for the text w[k:] and two parses, the longer
+    # spelling the shorter followed by that text; k > 0 makes it a dangling
+    # suffix, and (w, 0) starts from the parses (w) and (). States are kept
+    # as positions, not texts, so memory stays linear in the names; each
+    # records the step that reached it, and the two parses are rebuilt only
+    # to name them in the error.
+    came: dict = dict.fromkeys((w, 0) for w in ordered)
+    todo = list(came)
+    while todo:
+        state = todo.pop()
+        w, k = state
+        text = w[k:]
+        if k and text in words:
+            longer, shorter = _parses(came, state)
+            first, second = ([v[:-1] for v in p] for p in (longer, shorter + [text]))
+            raise ValidationError(
+                f"indecomposables: names {', '.join(map(repr, first))} and "
+                f"{', '.join(map(repr, second))} both join to {','.join(first)!r}, "
+                "so subset labels could clash")
+        # the shorter parse takes one more word: a word the text starts with
+        # keeps it the shorter, a word that starts with the text makes it
+        # the longer
+        steps = [((w, k + m), text[:m], False) for m in lengths[:bisect_left(lengths, len(text))]
+                 if text[:m] in words]
+        i = bisect_right(ordered, text)
+        while i < len(ordered) and ordered[i].startswith(text):
+            steps.append(((ordered[i], len(text)), ordered[i], True))
+            i += 1
+        for nxt, word, flip in steps:
+            if nxt not in came:
+                came[nxt] = (state, word, flip)
+                todo.append(nxt)
+
+
+def _parses(came: dict, state: tuple[str, int]) -> tuple[list[str], list[str]]:
+    """The longer and shorter parse that ``came`` records for ``state``."""
+    steps = []
+    while came[state] is not None:
+        state, word, flip = came[state]
+        steps.append((word, flip))
+    longer, shorter = [state[0]], []
+    for word, flip in reversed(steps):
+        shorter.append(word)
+        if flip:
+            longer, shorter = shorter, longer
+    return longer, shorter
 
 
 def _members(raw: object, index: dict[str, int], where: str) -> list[int]:

@@ -3,8 +3,11 @@
 With a tensor table present, subsets can additionally be closed under
 absorption (multiplying by anything stays inside). Proper absorption-closed
 subsets where a vanishing product forces a vanishing factor are the primes.
-The prime spectrum is the universal construction restricted to the primes,
-and the canonical comparison map into the universal space is the inclusion.
+They are found by a pruned in/out search over the indecomposables, not by
+enumerating every ideal: product:N has 2^N ideals and N primes, and its
+search makes 2N closures. The prime spectrum is the universal construction
+restricted to the primes, and the canonical comparison map into the
+universal space is the inclusion.
 
 Of the support axioms only the unit can fail on a spectrum, since the unit
 law is never validated; the base axioms and the product rule are theorems
@@ -13,7 +16,7 @@ there, proved in the tests.
 
 from __future__ import annotations
 
-from .bitsets import canonical_key, mask_of
+from .bitsets import canonical_key, mask_of, pick
 from .closure import ThickLattice, iter_closed, propagate
 from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import NoTensor
@@ -56,27 +59,43 @@ def primes(pres: Presentation) -> Spectrum:
     """Proper ideals where a vanishing product forces a vanishing factor,
     as the support space on them.
 
-    Primality is decided on pairs of indecomposables; the object-level
-    condition follows because membership is component-determined.
+    A depth-first search puts each indecomposable, lowest undecided first,
+    in or out of a candidate prime, keeping the in-set an ideal. For out
+    elements x and y, a node dies when (a) its in-set's closure meets the
+    out-set or (b) x*y lies in the in-set, and (c) every u with x*u in the
+    in-set goes in, in one closure. These are exact: a prime holding the
+    in-set holds its closure, and holding x*y or x*u but not x, it holds y
+    or u. Each leaf with a proper in-set is a distinct prime. Primality is
+    decided on pairs of indecomposables, with symmetric component supports
+    as parsing and builtins validate; membership is component-determined,
+    so the object-level condition follows.
     """
     product_masks = _tensor(pres).product_masks
-    n = pres.size
+    indices = range(pres.size)
     full = pres.full_mask
-    # a subsequence of the ideals, so still in canonical order
-    found = tuple(q for q in enumerate_ideals(pres).elements
-                  if q != full and _is_prime(q, n, product_masks))
-    sp = build_sp(ThickLattice(pres, found))
+    found = []
+    stack = [(ideal_closure(pres, 0), 0)]
+    while stack:
+        q, out = stack.pop()
+        # the u for which some out element x has x*u inside q
+        vanishing = mask_of(u for x in pick(indices, out) for u in indices
+                            if product_masks[x][u] & ~q == 0)
+        if vanishing & out:
+            continue  # (b)
+        add = vanishing & ~q  # (c)
+        if not add:
+            rest = full & ~(q | out)
+            if not rest:
+                if q != full:
+                    found.append(q)
+                continue
+            add = rest & -rest
+            stack.append((q, out | add))
+        grown = ideal_closure(pres, q | add, q, out)
+        if not grown & out:  # (a)
+            stack.append((grown, out))
+    sp = build_sp(ThickLattice(pres, tuple(sorted(found, key=canonical_key))))
     return Spectrum(sp.space, sp.sigma, sp.lattice)
-
-
-def _is_prime(q: int, n: int, product_masks: tuple[tuple[int, ...], ...]) -> bool:
-    for x in range(n):
-        x_in = (q >> x) & 1
-        row = product_masks[x]
-        for y in range(x, n):
-            if row[y] & ~q == 0 and not (x_in or (q >> y) & 1):
-                return False
-    return True
 
 
 def verify_tt_support(spectrum: SupportSpace) -> bool:

@@ -8,6 +8,7 @@ from thicklat.errors import TooLarge
 from thicklat.lattice import LatticeReport, LawWitness
 from thicklat.presentation import Presentation, TensorTable, Triangle, make_expr
 from thicklat.space import check_support_datum
+from thicklat.tensor import enumerate_ideals
 
 BRUTE_FORCE_LIMIT = 20
 DEFAULT_FAMILY_LIMIT = 1 << 16
@@ -100,6 +101,23 @@ def tt_violations(space):
         (x, y) for x in range(pres.size) for y in range(x, pres.size)
         if space.sigma_of(table.table[x][y]) != space.sigma[x] & space.sigma[y])
     return check_support_datum(space, pres), unit_full, products
+
+
+def primes_by_sweep(pres):
+    """Oracle spectrum: every proper ideal, canonical order, that misses no
+    factor of a pair x <= y whose product x*y it holds."""
+    product_masks = pres.tensor.product_masks
+    n = pres.size
+
+    def is_prime(q):
+        for x in range(n):
+            for y in range(x, n):
+                if product_masks[x][y] & ~q == 0 and not (q >> x & 1 or q >> y & 1):
+                    return False
+        return True
+
+    return tuple(q for q in enumerate_ideals(pres).elements
+                 if q != pres.full_mask and is_prime(q))
 
 
 def random_presentation(seed, max_indecs=12, max_triangles=10):

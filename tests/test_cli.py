@@ -234,6 +234,15 @@ def test_spectrum_without_tensor_is_an_error(capsys):
     assert "tensor" in err
 
 
+def test_spectrum_product40_json(capsys):
+    # product:40 has 2^40 ideals, so no sweep over them could finish
+    code, out, _ = run(capsys, "spectrum", "--builtin", "product:40", "--json")
+    assert code == 0
+    names = [f"e{i}" for i in range(1, 41)]
+    primes = json.loads(out)["primes"]
+    assert sorted(primes) == sorted([n for n in names if n != e] for e in names)
+
+
 def test_compare_product2_json(capsys):
     code, out, _ = run(capsys, "compare", "--builtin", "product:2", "--json")
     assert code == 0

@@ -26,6 +26,11 @@ output, before the handlers were reduced to one load-compute-render
 pipeline. The contract's ``--max-size`` help was re-recorded when the size
 guard came to cover ``lattice --dot -`` as well.
 
+``labels-clash.err`` is the error every subcommand writes for the names
+``a``, ``b`` and ``a,b``, whose labels parsing now rejects as ambiguous; at
+commit f19e732 the same input exited 0, and ``space`` and ``enumerate``
+printed ``{a,b}`` twice.
+
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
 itself is not checked in. ``ENUMERATE_AN8_JSON`` is the digest of
@@ -132,6 +137,17 @@ def test_enumerate_stdout_matches_golden(capsysbinary, name, fmt):
     assert main(["enumerate", *SOURCES[name], *SUPPORT_FORMATS[fmt]]) == 0
     out = capsysbinary.readouterr().out
     assert out == (GOLDEN / f"enumerate-{name}.{fmt}").read_bytes()
+
+
+CLASH = ["--input", str(GOLDEN / "labels-clash.presentation.json")]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "lattice", "space"])
+def test_clashing_labels_are_rejected_as_recorded(capsys, command):
+    status = main([command, *CLASH])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (2, "")
+    assert captured.err == (GOLDEN / "labels-clash.err").read_text(encoding="utf-8")
 
 
 def parser_contract() -> dict:

@@ -18,6 +18,7 @@ from thicklat.presentation import (
     builtin,
     make_expr,
     parse_presentation,
+    presentation_from_document,
     presentation_to_document,
 )
 
@@ -126,6 +127,60 @@ def test_parse_tensor_unknown_name_and_bad_key():
 def test_roundtrip_builtins(family, n):
     pres = builtin(family, n)
     assert parse_presentation(json.dumps(presentation_to_document(pres))) == pres
+
+
+@pytest.mark.parametrize("family,n", [("a2", None), ("point", None), ("product", 40)]
+                         + [("an", k) for k in range(1, 21)])
+def test_builtin_names_label_subsets_decodably(family, n):
+    pres = builtin(family, n)
+    assert presentation_from_document(presentation_to_document(pres)) == pres
+
+
+def test_parse_rejects_names_whose_labels_clash():
+    # {a,b} labelled both {a} + {b} and {a,b}
+    doc = {"indecomposables": ["a", "b", "a,b"], "triangles": []}
+    with pytest.raises(ValidationError, match="'a,b' and 'a', 'b' both join to 'a,b'"):
+        presentation_from_document(doc)
+
+
+def test_label_check_ignores_index_order():
+    # {x,y} and {y,x} are labelled "{x,y}" and "{y,x}", but the words x, and
+    # y, spell y,x, in the order y, x, so the names are rejected all the same
+    doc = {"indecomposables": ["x", "y", "y,x"], "triangles": []}
+    labels = [Presentation(tuple(doc["indecomposables"]), ()).label(m) for m in range(8)]
+    assert len(set(labels)) == 8
+    with pytest.raises(ValidationError, match="'y,x' and 'y', 'x'"):
+        presentation_from_document(doc)
+
+
+def test_label_check_follows_a_long_chain_of_parses():
+    # a, a,a,...,a,b leaves 2,000 dangling suffixes; with b added the last
+    # one is a name, and the error rebuilds both parses
+    chain = "a," * 2000 + "b"
+    presentation_from_document({"indecomposables": ["a", chain], "triangles": []})
+    with pytest.raises(ValidationError, match=f"names '{chain}' and 'a', 'a', "):
+        presentation_from_document({"indecomposables": ["a", chain, "b"], "triangles": []})
+
+
+@st.composite
+def label_names(draw):
+    """Short names over the characters of a label, plus a few that join
+    others by ",", as a label of several members does."""
+    names = draw(st.lists(st.text(alphabet="a,{}", min_size=1, max_size=3),
+                          min_size=1, max_size=4, unique=True))
+    joins = draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=3),
+                          max_size=2))
+    return list(dict.fromkeys(names + [",".join(j) for j in joins]))
+
+
+@given(label_names())
+def test_accepted_names_label_subsets_injectively(names):
+    try:
+        pres = presentation_from_document({"indecomposables": names, "triangles": []})
+    except ValidationError:
+        return
+    labels = {pres.label(m) for m in range(1 << pres.size)}
+    assert len(labels) == 1 << pres.size
 
 
 @st.composite

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import thicklat.tensor
 from conftest import (
     assert_stopped_closure,
     closed_by_sweep,
@@ -10,6 +11,7 @@ from conftest import (
     ideal_rule_closed,
     object_in,
     preimage,
+    primes_by_sweep,
     random_tensor_presentation,
     tt_violations,
 )
@@ -237,6 +239,44 @@ def test_only_the_unit_can_fail_on_symmetric_tables():
         unit_verdicts.append(unit_full)
     # both verdicts occur, so the unit check is not vacuous
     assert 0 < unit_verdicts.count(False) < len(unit_verdicts)
+
+
+# the tables the search was checked against when it replaced the sweep
+PRIME_TABLES = {
+    "blocks": random_tensor_presentation,
+    "symmetric": random_symmetric_tensor_presentation,
+    "symmetric-wide": lambda seed: random_symmetric_tensor_presentation(
+        seed, max_indecs=9, max_triangles=5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRIME_TABLES))
+def test_primes_match_the_sweep_on_random_tables(kind):
+    make = PRIME_TABLES[kind]
+    for seed in range(2000):
+        pres = make(seed)
+        assert primes(pres).primes == primes_by_sweep(pres), seed
+
+
+@pytest.mark.parametrize("family,n", [("point", None)] + [("product", k) for k in range(1, 15)])
+def test_primes_match_the_sweep_on_builtins(family, n):
+    pres = builtin(family, n)
+    assert primes(pres).primes == primes_by_sweep(pres)
+
+
+@pytest.mark.parametrize("n", [18, 40])
+def test_primes_of_product_cost_two_closures_per_element(monkeypatch, n):
+    # a sweep over the 2^n ideals of product:n closes at least once per ideal
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ideal_closure(*args)
+
+    monkeypatch.setattr(thicklat.tensor, "ideal_closure", counted)
+    full = (1 << n) - 1
+    assert primes(builtin("product", n)).primes == tuple(full ^ 1 << i for i in range(n))[::-1]
+    assert len(calls) <= 2 * n
 
 
 def test_comparison_map_counts():
