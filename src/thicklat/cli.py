@@ -12,10 +12,11 @@ A line that states a theorem (a spectrum's base axioms and products, the
 universal morphism's pullbacks, what ``compare`` says of the inclusion) is
 printed from a constant and proved in the tests.
 
-JSON documents are rendered by ``_render``, which writes the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)``: before Python 3.13 the C
-encoder refuses ``indent``, and ``json.dumps`` falls back to a pure-Python
-generator that costs as much as enumeration on the largest documents.
+JSON documents are rendered by ``_render`` on every Python, to the bytes
+of ``json.dumps(doc, indent=2, sort_keys=True)``, the tests' oracle. It
+also writes ``_Picks``: the names of many subsets, joined from names quoted
+once per document. ``json.dumps`` cannot write those; before Python 3.13 it
+indents in pure Python, and from 3.13 on it is no faster than ``_render``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Sequence
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -121,33 +123,51 @@ def _load_json(path: str) -> object:
 
 
 def _json_text(doc: object) -> str:
-    # drop this check and _render once requires-python reaches 3.13
-    if sys.version_info >= (3, 13):
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return _render(doc, "\n") + "\n"
+
+
+class _Picks:
+    """The JSON strings in ``quoted`` at the set bits of ``masks``: a list
+    for one mask, a list of such lists for a sequence of masks."""
+
+    # a plain class: a dataclass would cost a millisecond at every import
+    __slots__ = ("quoted", "masks")
+
+    def __init__(self, quoted: Sequence[str], masks: int | Sequence[int]) -> None:
+        self.quoted, self.masks = quoted, masks
 
 
 def _render(obj: object, newline: str) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an ``obj`` at the
-    indentation that ``newline`` (a newline and spaces) starts."""
+    indentation that ``newline`` (a newline and spaces) starts, with each
+    ``_Picks`` written as the lists of strings it stands for."""
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = (f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, _Picks):
+        if isinstance(obj.masks, int):
+            return _array(pick(obj.quoted, obj.masks), newline)
+        rows = map(pick, repeat(obj.quoted), obj.masks)
+        return _array([_array(row, inner) for row in rows], newline)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         # a list of names is joined in one C-level pass
         if all(map(isinstance, obj, repeat(str))):
-            items = map(_quote, obj)
-        else:
-            items = map(_render, obj, repeat(inner))
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            return _array(list(map(_quote, obj)), newline)
+        return _array([_render(item, inner) for item in obj], newline)
     if isinstance(obj, str):
         return _quote(obj)
     return json.dumps(obj)
+
+
+def _array(items: list[str], newline: str) -> str:
+    """The JSON array of rendered ``items`` at ``newline``'s indentation."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 # --------------------------------------------------------------------------
@@ -157,8 +177,8 @@ def _render(obj: object, newline: str) -> str:
 def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
     lat = enumerate_thick(pres)
     if args.json:
-        subsets = [pick(pres.names, e) for e in lat.elements]
-        return {"count": len(subsets), "subcategories": subsets}, EXIT_OK
+        quoted = tuple(map(_quote, pres.names))
+        return {"count": len(lat), "subcategories": _Picks(quoted, lat.elements)}, EXIT_OK
     return lat.labels(), EXIT_OK
 
 
@@ -199,7 +219,10 @@ def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
 def _cmd_space(pres: Presentation, args: argparse.Namespace) -> Output:
     sp = build_sp(enumerate_thick(pres))
     if args.json:
-        return {"points": list(sp.space.points), "sup": _supports(sp)}, EXIT_OK
+        labels = tuple(map(_quote, sp.space.points))
+        sup = {name: _Picks(labels, s) for name, s in zip(pres.names, sp.sigma)}
+        # the points are all the labels, so each is quoted once
+        return {"points": _Picks(labels, (1 << len(labels)) - 1), "sup": sup}, EXIT_OK
     return _support_lines(sp, "points", "sup"), EXIT_OK
 
 

@@ -227,14 +227,17 @@ def _is_name_list(raw: object) -> bool:
 
 
 def _parse_names(raw: object, where: str) -> tuple[str, ...]:
-    """A list of distinct non-empty names that UTF-8 can spell: JSON can
-    write a lone surrogate, UTF-8 output cannot."""
+    """A list of distinct non-empty names that UTF-8 can spell, each on one
+    line: JSON can write a lone surrogate, UTF-8 output cannot, and the text
+    outputs print one subset or point per line."""
     if not _is_name_list(raw):
         raise SchemaError(f"{where} must be a list of strings")
     seen = set()
     for name in raw:
         if not name:
             raise ValidationError(f"{where}: names must be non-empty")
+        if name.splitlines() != [name]:
+            raise ValidationError(f"{where}: name {name!r} holds a line break")
         try:
             name.encode()
         except UnicodeEncodeError:

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_presentation, random_tensor_presentation
 from thicklat import lattice
-from thicklat.cli import _json_text, _load_presentation, _parser, _render, main
+from thicklat.bitsets import pick
+from thicklat.cli import _json_text, _load_presentation, _parser, _Picks, _render, main
 from thicklat.closure import enumerate_thick
 from thicklat.errors import SchemaError, ValidationError
 from thicklat.presentation import (
@@ -419,6 +420,8 @@ READER_CASES = [
      ValidationError, "indecomposables"),
     ("presentation", "lone-surrogate", {**TENSOR_A, "indecomposables": ["a", "b", "\ud800"]},
      ValidationError, "indecomposables"),
+    ("presentation", "line-break", {**TENSOR_A, "indecomposables": ["a", "b", "a}\n{b"]},
+     ValidationError, "indecomposables"),
     ("presentation", "unknown-name", {**TENSOR_A, "triangles": [[["a"], ["z"], []]]},
      ValidationError, "triangle 0"),
     ("presentation", "bare-member", {**TENSOR_A, "triangles": [["a", ["b"], []]]},
@@ -440,6 +443,9 @@ READER_CASES = [
     ("datum", "empty-name", {**A2_DATUM, "points": ["u", ""]}, ValidationError, "points"),
     ("datum", "duplicate", {**A2_DATUM, "points": ["u", "u"]}, ValidationError, "points"),
     ("datum", "lone-surrogate", {**A2_DATUM, "points": ["u", "\udfff"]},
+     ValidationError, "points"),
+    # map prints a line per point, which a line break would forge
+    ("datum", "line-break", {**A2_DATUM, "points": ["u", "v\u2028w"]},
      ValidationError, "points"),
     ("datum", "unknown-name", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "P1": ["w"]}},
      ValidationError, "sigma[P1]"),
@@ -670,24 +676,77 @@ RENDER_DOCS = st.recursive(
     max_leaves=24)
 
 
+@st.composite
+def _picks(draw):
+    """A ``_Picks`` over quoted names with edge characters, as a pair with
+    the plain lists it stands for; masks may be 0 or have bits past the
+    names, and the list of masks may be empty."""
+    names = draw(st.lists(RENDER_TEXT, max_size=5))
+    masks = st.integers(min_value=0, max_value=(1 << len(names) + 2) - 1)
+    quoted = [json.dumps(name) for name in names]
+    if draw(st.booleans()):
+        mask = draw(masks)
+        return _Picks(quoted, mask), pick(names, mask)
+    rows = draw(st.lists(masks, max_size=4) | st.lists(masks, max_size=4).map(tuple))
+    return _Picks(quoted, rows), [pick(names, mask) for mask in rows]
+
+
+def _nested(pairs):
+    """Pairs of documents, each a list or a dict of the drawn pairs' sides."""
+    def split(items):
+        return [d for d, _ in items], [p for _, p in items]
+
+    def split_dict(items):
+        return ({k: d for k, (d, _) in items.items()},
+                {k: p for k, (_, p) in items.items()})
+
+    return (st.lists(pairs, max_size=3).map(split)
+            | st.dictionaries(RENDER_TEXT, pairs, max_size=3).map(split_dict))
+
+
+PICKED_DOCS = _picks() | _nested(_picks()) | _nested(_nested(_picks()))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(doc=RENDER_DOCS)
-def test_render_equals_json_dumps(doc):
+@given(doc=RENDER_DOCS, picked=PICKED_DOCS)
+def test_render_equals_json_dumps(doc, picked):
     assert _json_text(doc) == _dumps(doc)
-    # the renderer itself, also where _json_text calls json.dumps
-    assert _render(doc, "\n") + "\n" == _dumps(doc)
+    # a _Picks leaf, nested 0-2 deep, renders as the lists it stands for
+    leafy, plain = picked
+    assert _render(leafy, "\n") + "\n" == _dumps(plain)
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--builtin", "an:7", "--json"],
-    ["space", "--builtin", "an:6", "--json"],
-    ["spectrum", "--builtin", "product:15", "--json"],
-    ["generate", "--builtin", "an:4"],
-], ids=lambda argv: "-".join(argv[:3:2]))
-def test_rendered_handler_documents_equal_json_dumps(capsysbinary, argv):
+def _enumerate_doc(pres, args):
+    subsets = [pick(pres.names, e) for e in enumerate_thick(pres).elements]
+    return {"count": len(subsets), "subcategories": subsets}
+
+
+def _space_doc(pres, args):
+    sp = build_sp(enumerate_thick(pres))
+    points = list(sp.space.points)
+    return {"points": points,
+            "sup": {name: pick(points, s) for name, s in zip(pres.names, sp.sigma)}}
+
+
+def _handler_doc(pres, args):
+    return args.run(pres, args)[0]
+
+
+# stdout is json.dumps of the plain document: built here where the handler
+# returns _Picks leaves, which json.dumps cannot write, else the handler's own
+HANDLER_DOCS = [
+    (["enumerate", "--builtin", "an:7", "--json"], _enumerate_doc),
+    (["space", "--builtin", "an:6", "--json"], _space_doc),
+    (["spectrum", "--builtin", "product:15", "--json"], _handler_doc),
+    (["generate", "--builtin", "an:4"], _handler_doc),
+]
+
+
+@pytest.mark.parametrize("argv,plain", HANDLER_DOCS,
+                         ids=["-".join(argv[:3:2]) for argv, _ in HANDLER_DOCS])
+def test_rendered_handler_documents_equal_json_dumps(capsysbinary, argv, plain):
     args = _parser().parse_args(argv)
-    doc, _ = args.run(_load_presentation(args), args)
-    assert _render(doc, "\n") + "\n" == _dumps(doc)
+    doc = plain(_load_presentation(args), args)
     main(argv)
     assert capsysbinary.readouterr().out == _dumps(doc).encode("utf-8")
 

@@ -31,6 +31,10 @@ guard came to cover ``lattice --dot -`` as well.
 commit f19e732 the same input exited 0, and ``space`` and ``enumerate``
 printed ``{a,b}`` twice.
 
+``names-line-break.err`` is the error for a name holding a newline, which
+would print as two lines where the text outputs print one per subset; at
+commit edf81d8 ``enumerate`` printed that input's 8 subsets as 12 lines.
+
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
 itself is not checked in. ``ENUMERATE_AN8_JSON`` is the digest of
@@ -148,6 +152,14 @@ def test_clashing_labels_are_rejected_as_recorded(capsys, command):
     captured = capsys.readouterr()
     assert (status, captured.out) == (2, "")
     assert captured.err == (GOLDEN / "labels-clash.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "lattice", "space"])
+def test_line_break_names_are_rejected_as_recorded(capsys, command):
+    status = main([command, "--input", str(GOLDEN / "names-line-break.presentation.json")])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (2, "")
+    assert captured.err == (GOLDEN / "names-line-break.err").read_text(encoding="utf-8")
 
 
 def parser_contract() -> dict:
