@@ -36,6 +36,7 @@ from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
 from .presentation import Presentation, _decode_json, builtin, parse_presentation
 from .space import (
+    POINT_ARROW,
     ROTATIONS,
     STRUCTURAL_AXIOMS,
     DatumReport,
@@ -314,7 +315,7 @@ def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
         return {"datum_valid": True, "map": mapping, "valid": report.ok,
                 "pullback_failure": report.pullback_failure,
                 "continuity_failure": None}, status
-    lines = [f"{src} -> {dst}" for src, dst in mapping.items()]
+    lines = [f"{src}{POINT_ARROW}{dst}" for src, dst in mapping.items()]
     if report.pullback_failure is not None:
         lines += [f"pullback: failed at {report.pullback_failure}", "continuity: skipped"]
     else:

@@ -131,10 +131,12 @@ class ThickLattice:
     subsets, all thick ideals, or the prime ideals.
 
     Canonical order sorts by cardinality with ties broken by the member
-    sequence, so positions and serialized listings are byte-stable. The
-    lattice operations in ``lattice`` (joins, covers, ``analyze``) close
-    with ``thick_closure``, so they assume a family closed under it and
-    raise ``NotAnElement`` where a closure falls outside.
+    sequence, so positions and serialized listings are byte-stable. In
+    ``lattice``, covers and ``analyze`` read the family's inclusion order,
+    so they need a family closed under intersection that holds the full
+    set, as the thick subsets and the thick ideals are, and raise
+    ``NotAnElement`` on any other; ``join`` closes with ``thick_closure``
+    and raises ``NotAnElement`` where the closure falls outside.
     """
 
     presentation: Presentation

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
-from .bitsets import pick
+from .bitsets import omitted, pick
 from .closure import ThickLattice, thick_closure
 from .errors import InvalidParameter, NotAnElement, TooLarge
 
@@ -21,19 +23,14 @@ def meet(lattice: ThickLattice, j: int, k: int) -> int:
 
 
 def join(lattice: ThickLattice, j: int, k: int) -> int:
-    """Closure of the union, which must itself be an element."""
+    """Closure of the union, which must itself be an element, propagated
+    from the operand that leaves fewer new elements to queue."""
     _position(lattice, j, "left operand")
     _position(lattice, k, "right operand")
-    got = _join(lattice.presentation, j, k)
+    base = j if (k & ~j).bit_count() <= (j & ~k).bit_count() else k
+    got = thick_closure(lattice.presentation, j | k, base)
     _position(lattice, got, "join")
     return got
-
-
-def _join(pres, j: int, k: int) -> int:
-    """Closure of the union of two closed sets, propagating from the operand
-    that leaves fewer new elements to queue."""
-    base = j if (k & ~j).bit_count() <= (j & ~k).bit_count() else k
-    return thick_closure(pres, j | k, base)
 
 
 def _position(lattice: ThickLattice, mask: int, role: str) -> int:
@@ -77,14 +74,16 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
     that fails gets its first witness in canonical (x, y, z) order, from a
     sweep that skips the triples satisfying it by an identity.
 
-    Covers and joins are thick closures, so the family must be closed under
-    ``thick_closure``; a closure that is not an element raises
-    ``NotAnElement``, and an answer that is given is exact.
+    Covers and joins are read off the family's inclusion order (see
+    ``_upper_covers``), so the family must be closed under intersection and
+    hold the full set, as the thick subsets and the thick ideals are; one
+    that is not raises ``NotAnElement``, and an answer that is given is
+    exact.
     """
     n = len(lattice.elements)
     elems = lattice.elements
-    pres = lattice.presentation
-    up = _upper_covers(lattice, max_size)
+    position = lattice.position
+    up, above = _upper_covers(lattice, max_size)
     covers = _edges(up)
     down: list[list[int]] = [[] for _ in range(n)]
     heights = [0] * n
@@ -94,18 +93,12 @@ def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeR
     height = heights[-1]
     modular = _semimodular(up) and _semimodular(down)
     distributive = modular and sum(len(d) == 1 for d in down) == height
-    memo: dict[tuple[int, int], int] = {}
 
-    # _upper_covers found every cover closure to be an element, so every join
-    # is one: adding the second operand one indecomposable at a time climbs
-    # through cover closures
+    # _upper_covers found the family closed under intersection, so the join
+    # is the least element above both: the lowest position above both
     def jn(a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        got = memo.get(key)
-        if got is None:
-            got = _join(pres, a, b)
-            memo[key] = got
-        return got
+        m = above[position[a]] & above[position[b]]
+        return elems[(m & -m).bit_length() - 1]
 
     dw = None if distributive else _first_distributive_witness(elems, jn)
     mw = None if modular else _first_modular_witness(elems, jn)
@@ -161,37 +154,57 @@ def _first_modular_witness(elems, jn) -> LawWitness | None:
     return None
 
 
-def _upper_covers(lattice: ThickLattice, max_size: int) -> list[list[int]]:
-    """Positions of each element's upper covers, ascending: the minimal sets
-    among the closures of the element plus one more indecomposable.
+def _upper_covers(lattice: ThickLattice,
+                  max_size: int) -> tuple[list[list[int]], list[int]]:
+    """Positions of each element's upper covers, ascending, and per element
+    the mask of the positions above it.
 
-    Ascending position is ascending size, so a candidate is minimal unless
-    a cover already accepted lies inside it.
+    Element q lies above p iff q holds every member of p, so ``above[p]``
+    is the AND over p's members i of ``holding[i]``, the positions holding
+    i. Canonical order is by size, so the least element holding a set is
+    the lowest position g in the mask m of those holding it, if there is a
+    least one: m is not empty and lies within ``above[g]``. The covers of e
+    are the minimal least elements above e plus one indecomposable.
+
+    Each such least element must exist, and the bottom must lie below every
+    element, or ``NotAnElement`` is raised. Then the family is closed under
+    intersection: a maximal element inside a & b (the bottom is inside) is
+    all of a & b, or the least element above it plus a missing i of a & b
+    would be a larger one.
     """
     elems = lattice.elements
     if len(elems) > max_size:
         raise TooLarge(f"lattice has {len(elems)} elements, guard is {max_size}")
     pres = lattice.presentation
+    full = (1 << len(elems)) - 1
+    holding = [full ^ m for m in omitted(elems, pres.size)]
+    above = [reduce(and_, pick(holding, e), full) for e in elems]
+    if elems and above[0] != full:
+        raise NotAnElement(f"{pres.label(elems[0])} is not below every element")
     out = []
-    for e in elems:
-        try:
-            found = {lattice.position[thick_closure(pres, e | 1 << i, e)]
-                     for i in pick(range(pres.size), pres.full_mask & ~e)}
-        except KeyError as exc:
-            raise NotAnElement(
-                f"closure {pres.label(exc.args[0])} is not a lattice element") from None
+    for e, mask in zip(elems, above):
+        found = set()
+        for i in pick(range(pres.size), pres.full_mask & ~e):
+            m = mask & holding[i]
+            g = (m & -m).bit_length() - 1
+            least = above[g]
+            if not m or m | least != least:
+                raise NotAnElement(f"no least element holds {pres.label(e | 1 << i)}")
+            found.add(g)
+        # ascending position is ascending size, so a candidate is minimal
+        # unless a cover already accepted lies inside it
         covers: list[int] = []
         for p in sorted(found):
             if not any(elems[q] & ~elems[p] == 0 for q in covers):
                 covers.append(p)
         out.append(covers)
-    return out
+    return out, above
 
 
 def covering_pairs(lattice: ThickLattice,
                    max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[int, int]]:
     """Hasse edges as (lower, upper) positions in canonical order; TooLarge past ``max_size``."""
-    return _edges(_upper_covers(lattice, max_size))
+    return _edges(_upper_covers(lattice, max_size)[0])
 
 
 def _edges(up: list[list[int]]) -> list[tuple[int, int]]:

@@ -121,6 +121,8 @@ STRUCTURAL_AXIOMS: tuple[tuple[str, str], ...] = (
 )
 
 ROTATIONS = ("a vs b,c", "b vs c,a", "c vs a,b")
+# map prints one "<point> -> <label>" line per point, read by its first arrow
+POINT_ARROW = " -> "
 
 
 @dataclass(frozen=True)
@@ -274,6 +276,12 @@ def datum_from_document(doc: object, pres: Presentation) -> SupportDatum:
     """
     _require_keys(doc, {"points", "closed", "sigma"}, {"points", "sigma"}, "support datum")
     points = _parse_names(doc["points"], "points")
+    for name in points:
+        # an arrow inside the name, or one its end makes with the arrow
+        # printed after it, would come first
+        if POINT_ARROW in name + POINT_ARROW[:-1]:
+            raise ValidationError(
+                f"points: name {name!r} runs into the {POINT_ARROW!r} that map prints after it")
     index = {p: i for i, p in enumerate(points)}
     sigma = tuple(mask_of(_members(raw, index, f"sigma[{name}]"))
                   for name, raw in zip(pres.names, _values(doc["sigma"], pres.names, "sigma")))

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
 import random
+from functools import reduce
+from operator import and_
 
 from thicklat.bitsets import mask_of
 from thicklat.closure import ThickLattice, thick_closure
@@ -120,10 +122,10 @@ def primes_by_sweep(pres):
                  if q != pres.full_mask and is_prime(q))
 
 
-def random_presentation(seed, max_indecs=12, max_triangles=10):
+def random_presentation(seed, max_indecs=12, max_triangles=10, min_indecs=1):
     """Deterministic random presentation for oracle-equivalence sweeps."""
     rng = random.Random(seed)
-    n = rng.randint(1, max_indecs)
+    n = rng.randint(min_indecs, max_indecs)
     names = tuple(f"g{i}" for i in range(n))
     triangles = []
     for _ in range(rng.randint(0, max_triangles)):
@@ -273,18 +275,38 @@ def covers_by_definition(elems):
             m != e and m != f and e & ~m == 0 and m & ~f == 0 for m in elems))
 
 
+def covers_by_closures(lattice):
+    """Reference Hasse edges from thick closures, the loop ``covering_pairs``
+    ran before it read the family's inclusion order: per element, the
+    minimal sets among the closures of it plus one more indecomposable,
+    which must all be elements (a thick family of any size)."""
+    elems = lattice.elements
+    pres = lattice.presentation
+    edges = []
+    for lo, e in enumerate(elems):
+        found = {lattice.position[thick_closure(pres, e | 1 << i, e)]
+                 for i in range(pres.size) if not e >> i & 1}
+        covers = []
+        for p in sorted(found):
+            if not any(elems[q] & ~elems[p] == 0 for q in covers):
+                covers.append(p)
+        edges += [(lo, hi) for hi in covers]
+    return edges
+
+
 def report_by_sweep(lattice):
     """Oracle lattice report: the full canonical-order (x, y, z) sweep of
-    both laws, and height, atoms and covers by pairwise comparison
-    (n <= ~200)."""
+    both laws, with each join by definition, the intersection of every
+    element holding both operands, and height, atoms and covers by pairwise
+    comparison (n <= ~200)."""
     elems = lattice.elements
     memo = {}
 
     def jn(a, b):
-        key = (a, b) if a <= b else (b, a)
-        if key not in memo:
-            memo[key] = thick_closure(lattice.presentation, a | b)
-        return memo[key]
+        u = a | b
+        if u not in memo:
+            memo[u] = reduce(and_, [e for e in elems if u & ~e == 0])
+        return memo[u]
 
     def distributive_witness():
         for x in elems:

@@ -125,24 +125,24 @@ def test_lattice_dot_file_that_cannot_be_written_exits_2(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {target}:") and err.count("\n") == 1
 
 
-def test_lattice_dot_file_adds_no_closure_calls(capsys, monkeypatch, tmp_path):
+def test_lattice_dot_file_finds_the_covers_once(capsys, monkeypatch, tmp_path):
     # a work gate that does not depend on the wall clock: the file is drawn
     # from the covers that analyze found, so they are not found twice
     calls = 0
-    original = lattice.thick_closure
+    original = lattice._upper_covers
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(lattice, "thick_closure", counted)
+    monkeypatch.setattr(lattice, "_upper_covers", counted)
     counts = []
     for dot in ([], ["--dot", str(tmp_path / "an5.gv")]):
         calls = 0
         assert run(capsys, "lattice", "--builtin", "an:5", *dot)[0] == 0
         counts.append(calls)
-    assert counts[0] > 0 and counts[1] == counts[0]
+    assert counts == [1, 1]
 
 
 def test_space_summary(capsys):
@@ -447,6 +447,10 @@ READER_CASES = [
     # map prints a line per point, which a line break would forge
     ("datum", "line-break", {**A2_DATUM, "points": ["u", "v\u2028w"]},
      ValidationError, "points"),
+    # nor may the arrow map prints after each point, inside a name or
+    # made by its end
+    ("datum", "arrow", {**A2_DATUM, "points": ["x -> {P2}", "x"]}, ValidationError, "points"),
+    ("datum", "arrow-end", {**A2_DATUM, "points": ["u", "x ->"]}, ValidationError, "points"),
     ("datum", "unknown-name", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "P1": ["w"]}},
      ValidationError, "sigma[P1]"),
     ("datum", "bare-member", {**A2_DATUM, "sigma": {**A2_DATUM["sigma"], "P1": "u"}},
@@ -846,3 +850,20 @@ def test_main_survives_any_an3_morphism_document(capsysbinary, tmp_path, doc, fl
     argv = ["map", "--builtin", "an:3", "--datum", str(datum), "--morphism", str(path), *flags]
     assert main(argv) in (0, 1, 2)
     capsysbinary.readouterr()
+
+
+@FUZZ
+@given(names=st.lists(st.lists(st.sampled_from(["x", " ", "-", ">", " ->"]), min_size=1,
+                               max_size=4).map("".join),
+                      min_size=1, max_size=3, unique=True))
+def test_map_lines_read_back_to_their_points(capsys, tmp_path, names):
+    # a point name is accepted exactly when the line map prints for it
+    # splits back into that name at its first arrow
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({**A2_DATUM, "points": names}), encoding="utf-8")
+    code, out, _ = run(capsys, "map", "--builtin", "a2", "--datum", str(path))
+    reads_back = all((name + " -> ").index(" -> ") == len(name) for name in names)
+    assert code == (0 if reads_back else 2)
+    if reads_back:
+        lines = out.splitlines()[:len(names)]
+        assert [line.partition(" -> ")[0] for line in lines] == names

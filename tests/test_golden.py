@@ -34,6 +34,10 @@ printed ``{a,b}`` twice.
 ``names-line-break.err`` is the error for a name holding a newline, which
 would print as two lines where the text outputs print one per subset; at
 commit edf81d8 ``enumerate`` printed that input's 8 subsets as 12 lines.
+``point-arrow.err`` is the error ``check`` and ``map`` write for a datum
+whose point ``x -> {P2}`` holds the arrow that ``map`` prints after each
+point; at commit 10020bd ``map`` exited 0 and its first line read as the
+point ``x`` mapped to ``{P2} -> {P1,P2,S2}``.
 
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
@@ -160,6 +164,15 @@ def test_line_break_names_are_rejected_as_recorded(capsys, command):
     captured = capsys.readouterr()
     assert (status, captured.out) == (2, "")
     assert captured.err == (GOLDEN / "names-line-break.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["check", "map"])
+def test_point_names_holding_the_map_arrow_are_rejected_as_recorded(capsys, command):
+    status = main([command, "--builtin", "a2",
+                   "--datum", str(GOLDEN / "point-arrow.datum.json")])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (2, "")
+    assert captured.err == (GOLDEN / "point-arrow.err").read_text(encoding="utf-8")
 
 
 def parser_contract() -> dict:
