@@ -220,24 +220,24 @@ def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
 def _cmd_space(pres: Presentation, args: argparse.Namespace) -> Output:
     sp = build_sp(enumerate_thick(pres))
     if args.json:
-        labels = tuple(map(_quote, sp.space.points))
-        sup = {name: _Picks(labels, s) for name, s in zip(pres.names, sp.sigma)}
-        # the points are all the labels, so each is quoted once
-        return {"points": _Picks(labels, (1 << len(labels)) - 1), "sup": sup}, EXIT_OK
+        return _support_doc(sp), EXIT_OK
     return _support_lines(sp, "points", "sup"), EXIT_OK
 
 
-def _supports(sp: SupportSpace) -> dict[str, list[str]]:
-    """Point labels of each indecomposable's support."""
+def _support_doc(sp: SupportSpace) -> dict:
+    """The points and each indecomposable's support, from labels quoted once."""
+    labels = tuple(map(_quote, sp.space.points))
     names = sp.lattice.presentation.names
-    return {name: pick(sp.space.points, sp.sigma[a]) for a, name in enumerate(names)}
+    return {"points": _Picks(labels, (1 << len(labels)) - 1),
+            "sup": {name: _Picks(labels, s) for name, s in zip(names, sp.sigma)}}
 
 
 def _support_lines(sp: SupportSpace, heading: str, sup_name: str) -> list[str]:
     """The point count, the points, then each indecomposable's support."""
-    return [f"{heading}: {len(sp.space.points)}", *sp.space.points,
-            *(f"{sup_name}({name}): " + (", ".join(labels) or "(empty)")
-              for name, labels in _supports(sp).items())]
+    points = sp.space.points
+    return [f"{heading}: {len(points)}", *points,
+            *(f"{sup_name}({name}): " + (", ".join(pick(points, s)) or "(empty)")
+              for name, s in zip(sp.lattice.presentation.names, sp.sigma))]
 
 
 def _cmd_check(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -330,8 +330,8 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
     status = EXIT_OK if valid else EXIT_INVALID
     if args.json:
         return {
-            "primes": [pick(pres.names, q) for q in spectrum.primes],
-            "supp": _supports(spectrum),
+            "primes": _Picks(tuple(map(_quote, pres.names)), spectrum.primes),
+            "supp": _support_doc(spectrum)["sup"],
             "support_axioms": _datum_report_doc(PRIME_SUPPORT_AXIOMS, spectrum, pres),
             "unit_full": valid,
             "product_violations": [],

@@ -16,9 +16,10 @@ DEFAULT_MAX_SIZE = 10_000
 
 
 def meet(lattice: ThickLattice, j: int, k: int) -> int:
-    """Intersection; closure systems are intersection-closed, so this stays inside."""
+    """Intersection, which must be an element, as in any intersection-closed family."""
     _position(lattice, j, "left operand")
     _position(lattice, k, "right operand")
+    _position(lattice, j & k, "meet")
     return j & k
 
 
@@ -166,11 +167,11 @@ def _upper_covers(lattice: ThickLattice,
     least one: m is not empty and lies within ``above[g]``. The covers of e
     are the minimal least elements above e plus one indecomposable.
 
-    Each such least element must exist, and the bottom must lie below every
-    element, or ``NotAnElement`` is raised. Then the family is closed under
-    intersection: a maximal element inside a & b (the bottom is inside) is
-    all of a & b, or the least element above it plus a missing i of a & b
-    would be a larger one.
+    Each such least element must exist, and some element (the first, if
+    any) must lie below every element, or ``NotAnElement`` is raised. Then
+    the family is closed under intersection: a maximal element inside
+    a & b (the bottom is inside) is all of a & b, or the least element
+    above it plus a missing i of a & b would be a larger one.
     """
     elems = lattice.elements
     if len(elems) > max_size:
@@ -179,8 +180,8 @@ def _upper_covers(lattice: ThickLattice,
     full = (1 << len(elems)) - 1
     holding = [full ^ m for m in omitted(elems, pres.size)]
     above = [reduce(and_, pick(holding, e), full) for e in elems]
-    if elems and above[0] != full:
-        raise NotAnElement(f"{pres.label(elems[0])} is not below every element")
+    if not elems or above[0] != full:
+        raise NotAnElement("no element lies below every element")
     out = []
     for e, mask in zip(elems, above):
         found = set()
@@ -191,13 +192,11 @@ def _upper_covers(lattice: ThickLattice,
             if not m or m | least != least:
                 raise NotAnElement(f"no least element holds {pres.label(e | 1 << i)}")
             found.add(g)
-        # ascending position is ascending size, so a candidate is minimal
-        # unless a cover already accepted lies inside it
-        covers: list[int] = []
-        for p in sorted(found):
-            if not any(elems[q] & ~elems[p] == 0 for q in covers):
-                covers.append(p)
-        out.append(covers)
+        # a candidate is a cover unless it lies strictly above another
+        strictly_above = 0
+        for g in found:
+            strictly_above |= above[g] ^ (1 << g)
+        out.append([g for g in sorted(found) if not strictly_above >> g & 1])
     return out, above
 
 

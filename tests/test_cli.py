@@ -29,6 +29,7 @@ from thicklat.space import (
     random_support_datum,
     universal_morphism,
 )
+from thicklat.tensor import primes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -732,6 +733,14 @@ def _space_doc(pres, args):
             "sup": {name: pick(points, s) for name, s in zip(pres.names, sp.sigma)}}
 
 
+def _spectrum_doc(pres, args):
+    spectrum = primes(pres)
+    points = list(spectrum.space.points)
+    return {**args.run(pres, args)[0],
+            "primes": [pick(pres.names, q) for q in spectrum.primes],
+            "supp": {name: pick(points, s) for name, s in zip(pres.names, spectrum.sigma)}}
+
+
 def _handler_doc(pres, args):
     return args.run(pres, args)[0]
 
@@ -741,7 +750,7 @@ def _handler_doc(pres, args):
 HANDLER_DOCS = [
     (["enumerate", "--builtin", "an:7", "--json"], _enumerate_doc),
     (["space", "--builtin", "an:6", "--json"], _space_doc),
-    (["spectrum", "--builtin", "product:15", "--json"], _handler_doc),
+    (["spectrum", "--builtin", "product:15", "--json"], _spectrum_doc),
     (["generate", "--builtin", "an:4"], _handler_doc),
 ]
 

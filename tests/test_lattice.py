@@ -1,3 +1,4 @@
+import json
 import random
 from functools import reduce
 
@@ -15,7 +16,7 @@ from thicklat.bitsets import mask_of
 from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
 from thicklat.errors import InvalidParameter, NotAnElement, TooLarge
 from thicklat.lattice import analyze, covering_pairs, export_dot, join, meet
-from thicklat.presentation import Presentation, Triangle, builtin
+from thicklat.presentation import Presentation, Triangle, builtin, parse_presentation
 from thicklat.tensor import enumerate_ideals, primes
 
 A2 = builtin("a2")
@@ -277,11 +278,12 @@ def test_operations_on_ideal_lattices_answer_exactly_or_refuse():
     assert join_refused > 0
 
 
-@pytest.mark.parametrize("elements", [(0, 0b011, 0b101, 0b111), (0b011, 0b101, 0b111)],
-                         ids=["no-meet", "no-bottom"])
+@pytest.mark.parametrize("elements", [(0, 0b011, 0b101, 0b111), (0b011, 0b101, 0b111), ()],
+                         ids=["no-meet", "no-bottom", "empty"])
 def test_families_not_closed_under_intersection_are_refused(elements):
     # {0,1} & {0,2} = {0} is not an element: above {} plus 0 there is no
-    # least element, and without the empty set no bottom lies below all
+    # least element, and without the empty set no bottom lies below all;
+    # an empty family does not hold the full set
     lat = ThickLattice(A2, elements)
     for find in (analyze, covering_pairs):
         with pytest.raises(NotAnElement):
@@ -295,6 +297,45 @@ def test_prime_families_are_refused(k):
     for find in (analyze, covering_pairs):
         with pytest.raises(NotAnElement):
             find(lat)
+
+
+def test_a_family_with_no_prime_is_refused():
+    # the only proper ideal is 0, which holds a (x) a but not a: no prime
+    pres = parse_presentation(json.dumps({
+        "indecomposables": ["a"], "triangles": [],
+        "tensor": {"unit": ["a"], "table": {"a|a": []}}}))
+    lat = primes(pres).lattice
+    assert lat.elements == ()
+    for find in (analyze, covering_pairs):
+        with pytest.raises(NotAnElement):
+            find(lat)
+
+
+def meets_refused(lat):
+    """How many meets are refused; each other meet is the intersection."""
+    refused = 0
+    for j in lat.elements:
+        for k in lat.elements:
+            if j & k in lat.position:
+                assert meet(lat, j, k) == j & k
+                continue
+            with pytest.raises(NotAnElement, match="meet"):
+                meet(lat, j, k)
+            refused += 1
+    return refused
+
+
+def test_meet_refuses_an_intersection_outside_the_family():
+    # {0,1} & {0,2} = {0}, in either order
+    assert meets_refused(ThickLattice(A2, (0, 0b011, 0b101, 0b111))) == 2
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_meets_of_distinct_primes_are_refused(k):
+    # distinct primes of a product omit distinct indecomposables, and every
+    # prime omits exactly one
+    lat = primes(builtin("product", k)).lattice
+    assert meets_refused(lat) == len(lat) * (len(lat) - 1)
 
 
 SMALL_BUILTINS = [("point", None), ("a2", None), ("an", 3), ("an", 4)]
