@@ -153,8 +153,12 @@ class ThickLattice:
         return tuple(self.presentation.label(e) for e in self.elements)
 
 
+def iter_thick(pres: Presentation) -> Iterator[int]:
+    """All thick subsets via FCbO enumeration, in ``iter_closed``'s order."""
+    return iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c, s))
+
+
 def enumerate_thick(pres: Presentation) -> ThickLattice:
-    """All thick subsets via FCbO enumeration, canonically ordered."""
-    found = iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c, s))
-    return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
+    """All thick subsets, canonically ordered."""
+    return ThickLattice(pres, tuple(sorted(iter_thick(pres), key=canonical_key)))
 

@@ -32,13 +32,14 @@ from .presentation import ObjectExpr, Presentation, _members, _parse_names, _req
 class FinSpace:
     """Finite space described by generators of its closed-set family.
 
-    The closed family consists of the generators, the empty set, and the
-    whole space, closed under pairwise union and intersection. Its members
-    are the unions of intersections of generators, so the smallest closed
-    set holding a point is its point closure: the intersection of the
-    generators through it, or the whole space when none is. The smallest
-    closed superset of a set is the union of its points' closures, and a
-    set is closed when that adds nothing; the family is never materialized.
+    The generators, the empty set and the whole space are closed by definition,
+    and the family is what union and intersection make of them. Its members are
+    the unions of intersections of generators, so the smallest closed set
+    holding a point is its point closure: the intersection of the generators
+    through it, or the whole space when none is. The smallest closed superset
+    of a set is the union of its points' closures, and a set is closed when
+    that adds nothing; the family is never materialized. A directly built space
+    may hold generators past its points: those are not closed.
     """
 
     points: tuple[str, ...]
@@ -67,8 +68,13 @@ class FinSpace:
         """Smallest closed superset of the given point set."""
         return reduce(or_, pick(self._point_closures, mask), 0)
 
+    @cached_property
+    def _closed_by_definition(self) -> frozenset[int]:
+        return frozenset([0, self.full_mask, *(g for g in self.generators if g <= self.full_mask)])
+
     def is_closed(self, mask: int) -> bool:
-        return self.closed_closure(mask) == mask
+        """A generator, the empty set and the whole space are closed by definition."""
+        return mask in self._closed_by_definition or self.closed_closure(mask) == mask
 
 
 @dataclass(frozen=True)

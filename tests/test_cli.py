@@ -263,6 +263,26 @@ def test_compare_product3_text(capsys):
     assert "universal points: 8" in out
 
 
+def test_compare_counts_without_sorting(capsys, monkeypatch):
+    def refuse(pres):
+        raise RuntimeError("sorted the thick subsets only to count them")
+
+    monkeypatch.setattr("thicklat.cli.enumerate_thick", refuse)
+    code, out, _ = run(capsys, "compare", "--builtin", "product:13")
+    assert code == 0
+    assert "universal points: 8192" in out.splitlines()
+
+
+def test_compare_counts_every_thick_subset(capsys, tmp_path):
+    path = tmp_path / "presentation.json"
+    for seed in range(25):
+        pres = random_tensor_presentation(seed)
+        path.write_text(json.dumps(presentation_to_document(pres)), encoding="utf-8")
+        code, out, _ = run(capsys, "compare", "--input", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["universal_points"] == len(enumerate_thick(pres))
+
+
 def test_generate_deterministic(capsys):
     _, first, _ = run(capsys, "generate", "--builtin", "a2", "--seed", "9", "--points", "4")
     _, second, _ = run(capsys, "generate", "--builtin", "a2", "--seed", "9", "--points", "4")
@@ -524,6 +544,7 @@ def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
         raise RuntimeError("enumerated before the inputs were checked")
 
     monkeypatch.setattr("thicklat.cli.enumerate_thick", refuse)
+    monkeypatch.setattr("thicklat.cli.iter_thick", refuse)
     assert run(capsys, "map", "--builtin", "an:4", "--datum", "/does/not/exist.json")[0] == 2
     for argv in (["generate", "--builtin", "an:4", "--points", "-1"],
                  ["generate", "--builtin", "an:4", "--seed", "-1"],

@@ -72,6 +72,42 @@ def test_finspace_is_closed_matches_materialized_family(seed):
         assert space.is_closed(mask) == (mask in family)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_finspace_is_closed_matches_materialized_family_on_direct_spaces(seed):
+    # built without generate: zeros, duplicates and bits past the points are
+    # kept, so a generator that holds such bits is no closed set of the space
+    rng = random.Random(seed)
+    n = rng.randint(0, 8)
+    gens = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+    gens += [g | rng.randrange(1, 8) << n for g in rng.sample(gens, len(gens) // 2)]
+    space = FinSpace(tuple(f"p{i}" for i in range(n)), tuple(gens + [0]))
+    family = closed_sets(space)
+    for mask in range(1 << n):
+        assert space.is_closed(mask) == (mask in family)
+    for g in space.generators:
+        assert space.is_closed(g) == (g <= space.full_mask)
+
+
+def test_finspace_direct_generator_past_the_points_is_not_closed():
+    space = FinSpace(("a", "b"), (0b101,))
+    assert space.is_closed(0b101) is False
+    # its part within the points is closed: the intersection with the whole space
+    assert space.is_closed(0b001) is True
+    assert space.is_closed(0b010) is False
+
+
+@pytest.mark.parametrize("space", [
+    FinSpace((), ()),
+    FinSpace(("a", "b", "c"), ()),
+    FinSpace.generate(["a", "b", "c"], []),
+    FinSpace(("a", "b", "c"), (0b1010,)),
+    FinSpace.generate(["a", "b", "c"], [0b001, 0b110]),
+], ids=["no-points", "direct-empty", "generated-empty", "direct-stray", "generated"])
+def test_finspace_empty_set_and_whole_space_are_closed(space):
+    assert space.is_closed(0) is True
+    assert space.is_closed(space.full_mask) is True
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_finspace_closure_is_smallest_closed_superset(seed):
     space = random_finspace(seed, max_points=8)
@@ -372,6 +408,36 @@ def test_finality_round_trip(family, n):
             for a in range(pres.size):
                 assert preimage(f, sp.sigma[a]) == datum.sigma[a]
             assert check_morphism(datum, sp, f).ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_round_trip_never_builds_point_closures(n):
+    # every support of a drawn datum is a generator of its space or empty, so
+    # checking it, mapping it and checking the map answer closedness without
+    # the point closures; a deterministic work gate, no clock involved
+    pres = builtin("an", n)
+    sp = build_sp(enumerate_thick(pres))
+    empty = 0
+    for num_points in (0, 1, 2, 5, 64):
+        for seed in range(8):
+            datum = random_support_datum(sp, num_points, seed)
+            assert check_support_datum(datum, pres).valid
+            f = universal_morphism(datum, sp)
+            assert check_morphism(datum, sp, f).ok
+            assert "_point_closures" not in vars(datum.space)
+            empty += datum.sigma.count(0)
+    assert empty > 0
+
+
+def test_explicit_closed_sets_still_report_unclosed_supports():
+    # no support is a generator here, so each takes the point-closure test:
+    # u+v is a union of generators, w lies in none, u+w closes to everything
+    doc = {"points": ["u", "v", "w"], "closed": [["u"], ["v"]],
+           "sigma": {"P1": ["u", "v"], "P2": ["w"], "S2": ["u", "w"]}}
+    datum = datum_from_document(doc, A2)
+    report = check_support_datum(datum, A2)
+    assert report.unclosed == (1, 2)
+    assert "_point_closures" in vars(datum.space)
 
 
 @pytest.mark.parametrize("family,n", [("a2", None), ("product", 2)])
