@@ -30,7 +30,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .bitsets import omitted, pick
+from .bitsets import omitted, pick, picks
 from .closure import enumerate_thick, iter_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
@@ -151,8 +151,13 @@ def _render(obj: object, newline: str) -> str:
     if isinstance(obj, _Picks):
         if isinstance(obj.masks, int):
             return _array(pick(obj.quoted, obj.masks), newline)
-        rows = map(pick, repeat(obj.quoted), obj.masks)
-        return _array([_array(row, inner) for row in rows], newline)
+        # ``_array``'s text from one join of the rows, joined from their iterators, brackets
+        # in the separator; "[", two indents, "]" is an empty row, as quoted names hold no "\n"
+        deeper = inner + "  "
+        rows = map(("," + deeper).join, picks(obj.quoted, obj.masks))
+        text = (inner + "]," + inner + "[" + deeper).join(rows)
+        text = f"[{inner}[{deeper}{text}{inner}]{newline}]" if obj.masks else "[]"
+        return text.replace(f"[{deeper}{inner}]", "[]")
     if isinstance(obj, (list, tuple)):
         # a list of names is joined in one C-level pass
         if all(map(isinstance, obj, repeat(str))):
@@ -208,7 +213,7 @@ def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
                 None if w is None else {k: pick(pres.names, getattr(w, k)) for k in sides})
         return doc, EXIT_OK
     lines = [f"size: {report.size}", f"height: {report.height}",
-             "atoms: " + (", ".join(pres.label(a) for a in report.atoms) or "none")]
+             "atoms: " + (", ".join(pres.labels(report.atoms)) or "none")]
     for law, holds, w in laws:
         lines.append(f"{law}: {json.dumps(holds)}")
         if w is not None:
@@ -304,7 +309,7 @@ def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
         report = check_morphism(datum, sp, morphism)
         targets = [sp.space.points[t] for t in morphism.mapping]
     else:
-        targets = map(pres.label, omitted(datum.sigma, len(datum.space.points)))
+        targets = pres.labels(omitted(datum.sigma, len(datum.space.points)))
         # its pullbacks are the datum's supports by construction
         report = MorphismReport(True)
     status = EXIT_OK if report.ok else EXIT_INVALID

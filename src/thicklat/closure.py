@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import canonical_key
+from .bitsets import canonical_sorted
 from .presentation import Presentation
 
 
@@ -150,7 +150,7 @@ class ThickLattice:
         return {e: i for i, e in enumerate(self.elements)}
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.presentation.label(e) for e in self.elements)
+        return self.presentation.labels(self.elements)
 
 
 def iter_thick(pres: Presentation) -> Iterator[int]:
@@ -160,5 +160,5 @@ def iter_thick(pres: Presentation) -> Iterator[int]:
 
 def enumerate_thick(pres: Presentation) -> ThickLattice:
     """All thick subsets, canonically ordered."""
-    return ThickLattice(pres, tuple(sorted(iter_thick(pres), key=canonical_key)))
+    return ThickLattice(pres, canonical_sorted(iter_thick(pres)))
 

@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from itertools import repeat
 from operator import or_
 
-from .bitsets import mask_of, pick
+from .bitsets import mask_of, pick, picks
 from .errors import InvalidParameter, SchemaError, UnknownFamily, ValidationError
 
 ObjectExpr = tuple[int, ...]
@@ -116,7 +116,11 @@ class Presentation:
 
     def label(self, mask: int) -> str:
         """Brace-joined member names of a subset mask, in index order."""
-        return "{" + ",".join(pick(self.names, mask)) + "}"
+        return self.labels((mask,))[0]
+
+    def labels(self, masks: Iterable[int]) -> tuple[str, ...]:
+        """``label`` of each mask, joined straight from ``picks``."""
+        return tuple(map("{{{}}}".format, map(",".join, picks(self.names, masks))))
 
     def expr_names(self, expr: ObjectExpr) -> list[str]:
         return [self.names[i] for i in expr]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .bitsets import mask_of, omitted, pick
+from .bitsets import mask_of, omitted, pick, picks
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
 from .presentation import ObjectExpr, Presentation, _members, _parse_names, _require_keys, _values
@@ -301,14 +301,9 @@ def datum_from_document(doc: object, pres: Presentation) -> SupportDatum:
 
 
 def datum_to_document(datum: SupportDatum, pres: Presentation) -> dict:
-    return {
-        "points": list(datum.space.points),
-        "closed": [pick(datum.space.points, g) for g in datum.space.generators],
-        "sigma": {
-            pres.names[a]: pick(datum.space.points, datum.sigma[a])
-            for a in range(pres.size)
-        },
-    }
+    return {"points": list(datum.space.points),
+            "closed": list(map(list, picks(datum.space.points, datum.space.generators))),
+            "sigma": dict(zip(pres.names, map(list, picks(datum.space.points, datum.sigma))))}
 
 
 def morphism_from_document(doc: object, datum: SupportDatum,

@@ -16,7 +16,7 @@ there, proved in the tests.
 
 from __future__ import annotations
 
-from .bitsets import canonical_key, mask_of, pick
+from .bitsets import canonical_sorted, mask_of, pick
 from .closure import ThickLattice, iter_closed, propagate
 from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import NoTensor
@@ -43,7 +43,7 @@ def enumerate_ideals(pres: Presentation) -> ThickLattice:
     """All absorption-closed thick subsets, canonical order."""
     _tensor(pres)
     found = iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c, s))
-    return ThickLattice(pres, tuple(sorted(found, key=canonical_key)))
+    return ThickLattice(pres, canonical_sorted(found))
 
 
 class Spectrum(SupportSpace):
@@ -94,7 +94,7 @@ def primes(pres: Presentation) -> Spectrum:
         grown = ideal_closure(pres, q | add, q, out)
         if not grown & out:  # (a)
             stack.append((grown, out))
-    sp = build_sp(ThickLattice(pres, tuple(sorted(found, key=canonical_key))))
+    sp = build_sp(ThickLattice(pres, canonical_sorted(found)))
     return Spectrum(sp.space, sp.sigma, sp.lattice)
 
 

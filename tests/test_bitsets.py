@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import key_by_members, mask_by_loop
-from thicklat.bitsets import canonical_key, mask_of, omitted, pick
+from conftest import key_by_members, mask_by_loop, random_presentation
+from thicklat.bitsets import canonical_key, canonical_sorted, mask_of, omitted, pick, picks
 from thicklat.closure import enumerate_thick
 from thicklat.presentation import builtin
 from thicklat.space import build_sp
@@ -91,6 +91,49 @@ def test_pick_ignores_bits_past_the_items():
     assert pick(range(5), 0b10110) == [1, 2, 4]
 
 
+def picked_rows(items, masks):
+    return [list(row) for row in picks(items, masks)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_picks_matches_pick_on_random_masks(seed):
+    rng = random.Random(seed)
+    width = rng.randint(0, 300)
+    items = [f"i{k}" for k in range(width)]
+    # masks reach up to 3 bits past the items; 0 and repeats are among them
+    masks = [rng.getrandbits(width + 3) for _ in range(rng.randint(0, 20))]
+    masks += [0, 0, (1 << width) - 1, *masks[:3]]
+    rng.shuffle(masks)
+    assert picked_rows(items, masks) == [pick(items, m) for m in masks]
+    low = (1 << width) - 1
+    assert picked_rows(items, iter(masks)) == [pick_by_bits(items, m & low) for m in masks]
+
+
+@pytest.mark.parametrize("items, masks", [
+    (["a", "b", "c"], []), (["a", "b", "c"], [0]), ([], [0, 0b111]), ((), ()),
+    (["a", "b", "c"], [0b1111_0101, 0b1000, 0b10]), (range(5), [0b10110, 0]),
+])
+def test_picks_edge_cases(items, masks):
+    assert picked_rows(items, masks) == [pick(items, m) for m in masks]
+
+
+def label_by_join(pres, mask):
+    """Oracle: the member names at the set bits, comma-joined in braces."""
+    return "{" + ",".join(pres.names[i] for i in range(pres.size) if mask >> i & 1) + "}"
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_labels_match_label_on_random_presentations(seed):
+    pres = random_presentation(seed, max_indecs=40)
+    rng = random.Random(seed)
+    masks = [0, pres.full_mask, *(rng.getrandbits(pres.size) for _ in range(30))]
+    masks += masks[:5]
+    assert pres.labels(masks) == tuple(map(pres.label, masks))
+    assert pres.labels(iter(masks)) == tuple(label_by_join(pres, m) for m in masks)
+    assert pres.labels([]) == ()
+    assert [pres.label(m) for m in masks] == [label_by_join(pres, m) for m in masks]
+
+
 @pytest.fixture(scope="module")
 def an8():
     return enumerate_thick(builtin("an", 8))
@@ -107,7 +150,12 @@ def test_pick_matches_bits_on_an8_supports(an8):
 
 
 def sorted_both_ways(masks):
-    return sorted(masks, key=canonical_key), sorted(masks, key=key_by_members)
+    """By ``canonical_key`` and by the oracle key, after checking that
+    ``canonical_sorted`` agrees with both, on a list and on a generator."""
+    by_key, by_members = sorted(masks, key=canonical_key), sorted(masks, key=key_by_members)
+    assert list(canonical_sorted(masks)) == by_key == by_members
+    assert canonical_sorted(m for m in masks) == tuple(by_members)
+    return by_key, by_members
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -125,6 +173,7 @@ def test_canonical_key_sorts_like_member_tuples_on_random_masks(seed):
             if 0 < size < width:
                 out = rng.choice([i for i in range(width) if i not in members])
                 masks.append(masks[-1] ^ 1 << members[0] ^ 1 << out)
+    masks += rng.sample(masks, len(masks) // 4)  # repeats, which are kept
     rng.shuffle(masks)
     by_key, by_members = sorted_both_ways(masks)
     assert by_key == by_members
@@ -135,6 +184,18 @@ def test_canonical_key_sorts_every_narrow_mask_like_member_tuples():
     random.Random(10).shuffle(masks)
     by_key, by_members = sorted_both_ways(masks)
     assert by_key == by_members
+    # every size from 0 to 10 ties: 252 masks hold 5 members
+    assert sorted_both_ways(masks * 2)[0] == [m for m in by_key for _ in range(2)]
+
+
+@pytest.mark.parametrize("masks, expected", [
+    ([], ()), ([0], (0,)), ([0, 0], (0, 0)), ([0b10, 0b1], (0b1, 0b10)),
+    ([0b11, 0b100, 0b101, 0], (0, 0b100, 0b11, 0b101)),
+    ([0b110, 0b11, 0b110], (0b11, 0b110, 0b110)),
+])
+def test_canonical_sorted_edge_cases(masks, expected):
+    assert canonical_sorted(masks) == canonical_sorted(iter(masks)) == expected
+    assert list(expected) == sorted(masks, key=key_by_members)
 
 
 @pytest.mark.parametrize("family, k", [("an", 8), ("product", 12)])

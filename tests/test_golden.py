@@ -47,14 +47,19 @@ rendered every JSON document with ``json.dumps(indent=2, sort_keys=True)``.
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import thicklat.bitsets
 import thicklat.cli
-from thicklat.cli import build_parser, main
+from thicklat.cli import _load_presentation, _parser, build_parser, main
+from thicklat.presentation import Presentation
 
 GOLDEN = Path(__file__).parent / "golden"
 SOURCES = {
@@ -228,6 +233,53 @@ def test_enumerate_an8_json_stdout_matches_recorded_digest(capsysbinary):
     assert main(["enumerate", "--builtin", "an:8", "--json"]) == 0
     out = capsysbinary.readouterr().out
     assert (len(out), hashlib.sha256(out).hexdigest()) == ENUMERATE_AN8_JSON
+
+
+# Work gate: the subsets are sorted and written with no Python call per
+# subset. Each output is its golden, or where none is checked in, the
+# (bytes, sha256) of the output as written by commit d124f29, which still
+# sorted by ``canonical_key`` and picked and labelled one subset at a time.
+BULK_CASES = {
+    "enumerate-an6.json": (["enumerate", "--builtin", "an:6", "--json"], (
+        74_509, "dcd96a2263819bbdd434ae5d017bf7980dfbb794ce17fddce51ec41073cc1417")),
+    "enumerate-an5.txt": (["enumerate", "--builtin", "an:5"], None),
+    "space-an5.json": (["space", "--builtin", "an:5", "--json"], (
+        78_409, "fc99d84ea06aed5a919b85d28c6cd85267a6235c338a0fd03fb1074731dcebc3")),
+    "lattice-an5.dot": (["lattice", "--builtin", "an:5", "--dot"], None),
+    "spectrum-product8.json": (["spectrum", "--builtin", "product:8", "--json"], (
+        1_676, "4255d40cbabbc0ee22359b18f4ebe572642c57f4f83925c047e62b1c28988aa9")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_CASES))
+def test_subsets_are_sorted_and_written_with_no_call_per_subset(capsysbinary, monkeypatch, name):
+    argv, digest = BULK_CASES[name]
+    calls = Counter()
+
+    def counted(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # canonical_key is wrapped wherever a thicklat module holds it
+    key = thicklat.bitsets.canonical_key
+    for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "thicklat"]:
+        for attr in [a for a, value in vars(module).items() if value is key]:
+            monkeypatch.setattr(module, attr, counted("canonical_key", key))
+    monkeypatch.setattr(thicklat.cli, "pick", counted("pick", thicklat.cli.pick))
+    monkeypatch.setattr(Presentation, "label", counted("label", Presentation.label))
+    size = _load_presentation(_parser().parse_args(argv)).size
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    if digest is None:
+        assert out == (GOLDEN / name).read_bytes()
+    else:
+        assert (len(out), hashlib.sha256(out).hexdigest()) == digest
+    # one pick per single-mask list: the points and each support
+    assert calls["canonical_key"] == calls["label"] == 0
+    assert calls["pick"] <= size + 1
 
 
 def test_reused_parser_carries_no_state(capsysbinary, monkeypatch):
