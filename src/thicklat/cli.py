@@ -30,7 +30,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .bitsets import omitted, pick, picks
+from .bitsets import joins, omitted, pick
 from .closure import enumerate_thick, iter_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
@@ -151,10 +151,11 @@ def _render(obj: object, newline: str) -> str:
     if isinstance(obj, _Picks):
         if isinstance(obj.masks, int):
             return _array(pick(obj.quoted, obj.masks), newline)
-        # ``_array``'s text from one join of the rows, joined from their iterators, brackets
-        # in the separator; "[", two indents, "]" is an empty row, as quoted names hold no "\n"
+        # ``_array``'s text from one join of the rows, each row's names joined by ``joins``,
+        # brackets in the separator; "[", two indents, "]" is an empty row, as quoted names
+        # hold no "\n"
         deeper = inner + "  "
-        rows = map(("," + deeper).join, picks(obj.quoted, obj.masks))
+        rows = joins(obj.quoted, obj.masks, "," + deeper)
         text = (inner + "]," + inner + "[" + deeper).join(rows)
         text = f"[{inner}[{deeper}{text}{inner}]{newline}]" if obj.masks else "[]"
         return text.replace(f"[{deeper}{inner}]", "[]")
@@ -381,16 +382,6 @@ SUBCOMMANDS = (
 )
 
 
-def _emit(text: str) -> None:
-    # write bytes when possible so line endings stay LF on every platform
-    buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is not None:
-        buffer.write(text.encode("utf-8"))
-        buffer.flush()
-    else:
-        sys.stdout.write(text)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # parse_args keeps no state in the parser, so one serves every call
@@ -411,5 +402,13 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_ERROR
-    _emit(out)
+    # write bytes when possible so line endings stay LF on every platform
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(out)
+        return status
+    data = out.encode("utf-8")
+    del out  # a multi-MB text is not held beside its bytes while they are written
+    buffer.write(data)
+    buffer.flush()
     return status

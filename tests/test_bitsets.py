@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import key_by_members, mask_by_loop, random_presentation
-from thicklat.bitsets import canonical_key, canonical_sorted, mask_of, omitted, pick, picks
+import thicklat.bitsets
+from thicklat.bitsets import (
+    canonical_key, canonical_sorted, joins, mask_of, omitted, pick, picks)
 from thicklat.closure import enumerate_thick
 from thicklat.presentation import builtin
 from thicklat.space import build_sp
@@ -117,6 +119,57 @@ def test_picks_edge_cases(items, masks):
     assert picked_rows(items, masks) == [pick(items, m) for m in masks]
 
 
+def joined_by_pick(items, masks, sep):
+    return [sep.join(pick(items, m)) for m in masks]
+
+
+# 256 rows is the table threshold; a table has at most 8 items and a row
+# at most 6 lookups, so past 48 items (36 at 256 rows) every row is walked
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 1_000, 5_000])
+@pytest.mark.parametrize("width", [0, 1, 5, 19, 28, 36, 37, 48, 49, 300])
+def test_joins_matches_pick_across_the_table_threshold(rows, width):
+    rng = random.Random(f"{rows}/{width}")
+    items = [f"i{k}" for k in range(width)]
+    # masks reach up to 3 bits past the items; 0 and repeats are among them
+    masks = [rng.getrandbits(width + 3) & rng.getrandbits(width + 3) for _ in range(rows)]
+    masks[::9] = [0] * len(masks[::9])
+    masks[1::7] = masks[len(masks) - len(masks[1::7]):]
+    for sep in (",", ",\n      ", ""):
+        assert list(joins(items, masks, sep)) == joined_by_pick(items, masks, sep)
+    assert list(joins(tuple(items), tuple(masks), ",")) == joined_by_pick(items, masks, ",")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_joins_matches_pick_on_random_masks(seed):
+    rng = random.Random(seed)
+    width = rng.randint(0, 300)
+    items = [rng.choice(["", "x", "\u00e9", "a,b", "{}"]) + str(k) for k in range(width)]
+    masks = [rng.getrandbits(width + 3) for _ in range(rng.choice([3, 300, 2_000]))]
+    assert list(joins(items, masks, ", ")) == joined_by_pick(items, masks, ", ")
+
+
+@pytest.mark.parametrize("rows, items, walks", [
+    (255, 19, 1), (256, 19, 0), (256, 36, 0), (256, 37, 1), (5_000, 48, 0), (5_000, 49, 1),
+    (5_000, 0, 1),
+])
+def test_joins_walks_digits_only_below_the_thresholds(monkeypatch, rows, items, walks):
+    walked = []
+    monkeypatch.setattr(thicklat.bitsets, "picks", lambda *a: walked.append(a) or picks(*a))
+    names = [f"n{k}" for k in range(items)]
+    masks = [k * 2_654_435_761 % (1 << items) if items else k for k in range(rows)]
+    assert list(joins(names, masks, ",")) == joined_by_pick(names, masks, ",")
+    assert len(walked) == walks
+
+
+@pytest.mark.parametrize("items, masks", [
+    ([], [0] * 300), ([], [0b111] * 300), (["a"], [0, 1, 2, 3] * 100), (("a", "b"), ()),
+    (["a", "b", "c"], [0b1111_0101] * 256), (["", ""], [0b11, 0b01, 0b10] * 100),
+])
+def test_joins_edge_cases(items, masks):
+    for sep in (",", ""):
+        assert list(joins(items, masks, sep)) == joined_by_pick(items, masks, sep)
+
+
 def label_by_join(pres, mask):
     """Oracle: the member names at the set bits, comma-joined in braces."""
     return "{" + ",".join(pres.names[i] for i in range(pres.size) if mask >> i & 1) + "}"
@@ -126,7 +179,9 @@ def label_by_join(pres, mask):
 def test_labels_match_label_on_random_presentations(seed):
     pres = random_presentation(seed, max_indecs=40)
     rng = random.Random(seed)
-    masks = [0, pres.full_mask, *(rng.getrandbits(pres.size) for _ in range(30))]
+    # some seeds draw past the 256 masks from which labels come from name tables
+    count = rng.choice([30, 300, 2_000])
+    masks = [0, pres.full_mask, *(rng.getrandbits(pres.size) for _ in range(count))]
     masks += masks[:5]
     assert pres.labels(masks) == tuple(map(pres.label, masks))
     assert pres.labels(iter(masks)) == tuple(label_by_join(pres, m) for m in masks)

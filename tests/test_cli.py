@@ -742,6 +742,26 @@ def test_render_equals_json_dumps(doc, picked):
     assert _render(leafy, "\n") + "\n" == _dumps(plain)
 
 
+ROW_MASKS = st.lists(st.integers(min_value=0, max_value=(1 << 14) - 1), min_size=1, max_size=4)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(names=st.lists(RENDER_TEXT, max_size=5) | st.lists(RENDER_TEXT, min_size=9, max_size=12),
+       rows=ROW_MASKS | ROW_MASKS.map(tuple), depth=st.integers(min_value=0, max_value=2))
+def test_render_equals_json_dumps_past_the_table_threshold(names, rows, depth):
+    # rows tiled past the 256 from which bitsets.joins looks them up in tables
+    # of quoted names, one table per chunk of at most 8 names; masks may be 0
+    # or have bits past the names
+    rows *= 256 // len(rows) + 1
+    leafy = _Picks([json.dumps(name) for name in names], rows)
+    plain = [pick(names, mask) for mask in rows]
+    for _ in range(depth):
+        leafy, plain = {"k": leafy}, {"k": plain}
+    # compared line by line, so that a failing example is reported without a
+    # diff of the whole text, which would make shrinking take minutes
+    assert (_render(leafy, "\n") + "\n").split("\n") == _dumps(plain).split("\n")
+
+
 def _enumerate_doc(pres, args):
     subsets = [pick(pres.names, e) for e in enumerate_thick(pres).elements]
     return {"count": len(subsets), "subcategories": subsets}

@@ -238,17 +238,26 @@ def test_enumerate_an8_json_stdout_matches_recorded_digest(capsysbinary):
 # Work gate: the subsets are sorted and written with no Python call per
 # subset. Each output is its golden, or where none is checked in, the
 # (bytes, sha256) of the output as written by commit d124f29, which still
-# sorted by ``canonical_key`` and picked and labelled one subset at a time.
+# sorted by ``canonical_key`` and picked and labelled one subset at a time;
+# the ``an6`` space and DOT outputs were recorded from commit 07c9b47, which
+# still walked every subset's mask digits to join its names.
 BULK_CASES = {
     "enumerate-an6.json": (["enumerate", "--builtin", "an:6", "--json"], (
         74_509, "dcd96a2263819bbdd434ae5d017bf7980dfbb794ce17fddce51ec41073cc1417")),
     "enumerate-an5.txt": (["enumerate", "--builtin", "an:5"], None),
     "space-an5.json": (["space", "--builtin", "an:5", "--json"], (
         78_409, "fc99d84ea06aed5a919b85d28c6cd85267a6235c338a0fd03fb1074731dcebc3")),
+    "space-an6.json": (["space", "--builtin", "an:6", "--json"], (
+        570_184, "2c7c2a2ef6473248195c8df909ee4cfb0d80b310bbe20eb19345330cb1a6f82f")),
     "lattice-an5.dot": (["lattice", "--builtin", "an:5", "--dot"], None),
+    "lattice-an6.dot": (["lattice", "--builtin", "an:6", "--dot"], (
+        118_423, "c50ed31ec4f4f59fca7a42b4e7411455c2fc7b6a95ad8a1ab61cd97090201219")),
     "spectrum-product8.json": (["spectrum", "--builtin", "product:8", "--json"], (
         1_676, "4255d40cbabbc0ee22359b18f4ebe572642c57f4f83925c047e62b1c28988aa9")),
 }
+# an:6's 877 subsets are past ``bitsets.joins``' 256-row threshold: their rows
+# and labels are looked up in name tables, with no walk over a mask's digits
+TABLE_CASES = {"enumerate-an6.json", "space-an6.json", "lattice-an6.dot"}
 
 
 @pytest.mark.parametrize("name", sorted(BULK_CASES))
@@ -263,11 +272,12 @@ def test_subsets_are_sorted_and_written_with_no_call_per_subset(capsysbinary, mo
             return fn(*args, **kwargs)
         return wrapper
 
-    # canonical_key is wrapped wherever a thicklat module holds it
-    key = thicklat.bitsets.canonical_key
-    for module in [m for n, m in sys.modules.items() if n.partition(".")[0] == "thicklat"]:
-        for attr in [a for a, value in vars(module).items() if value is key]:
-            monkeypatch.setattr(module, attr, counted("canonical_key", key))
+    # canonical_key and picks are wrapped wherever a thicklat module holds them
+    modules = [m for n, m in sys.modules.items() if n.partition(".")[0] == "thicklat"]
+    for fn in (thicklat.bitsets.canonical_key, thicklat.bitsets.picks):
+        for module in modules:
+            for attr in [a for a, value in vars(module).items() if value is fn]:
+                monkeypatch.setattr(module, attr, counted(fn.__name__, fn))
     monkeypatch.setattr(thicklat.cli, "pick", counted("pick", thicklat.cli.pick))
     monkeypatch.setattr(Presentation, "label", counted("label", Presentation.label))
     size = _load_presentation(_parser().parse_args(argv)).size
@@ -280,6 +290,8 @@ def test_subsets_are_sorted_and_written_with_no_call_per_subset(capsysbinary, mo
     # one pick per single-mask list: the points and each support
     assert calls["canonical_key"] == calls["label"] == 0
     assert calls["pick"] <= size + 1
+    # a short list's rows come from walks over their digits; past the threshold none do
+    assert (calls["picks"] == 0) == (name in TABLE_CASES)
 
 
 def test_reused_parser_carries_no_state(capsysbinary, monkeypatch):
