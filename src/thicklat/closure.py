@@ -18,13 +18,21 @@ hands its children one copy of its parent's failure records plus its own. As
 in In-Close (Andrews 2009), the canonicity test runs inside the closure: a
 candidate's closure stops at its first addition below the added element, so
 a rejected candidate costs only the work up to that addition.
+
+The thick subsets of a presentation whose elements fall into several
+blocks, with no triangle between two of them, are the unions of one thick
+subset per block, as the thick subcategories of a product are the products
+of the factors'. So ``iter_thick`` runs FCbO on each block alone and streams
+the unions, paying a closure per set of a block, not per set of the
+product. Ideals keep one walk over all elements (see ``tensor``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 
 from .bitsets import canonical_sorted
 from .presentation import Presentation
@@ -104,8 +112,14 @@ def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
     with it at once: no child pops before the loop ends, so each sees every
     record, and each copies before writing, so none sees a sibling's.
     """
-    full = (1 << n) - 1
-    stack = [(close(0, 0, 0), 0, [0] * n)]
+    return _fcbo((1 << n) - 1, close)
+
+
+def _fcbo(full: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
+    """``iter_closed``'s walk, trying only the candidates inside ``full``.
+    Where no rule links ``full`` to the other elements, it yields the closed
+    sets whose part outside ``full`` is that of ``close(0, 0, 0)``."""
+    stack = [(close(0, 0, 0), 0, [0] * full.bit_length())]
     while stack:
         parent, start, failed = stack.pop()
         yield parent
@@ -154,11 +168,26 @@ class ThickLattice:
 
 
 def iter_thick(pres: Presentation) -> Iterator[int]:
-    """All thick subsets via FCbO enumeration, in ``iter_closed``'s order."""
-    return iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c, s))
+    """All thick subsets, each once, in no canonical order.
+
+    No triangle links two of the presentation's ``blocks``, so the thick
+    subsets are the unions of one thick subset of each block. FCbO
+    enumerates each block's part, and the unions are streamed from
+    ``itertools.product`` with no closure per set. This holds only the
+    blocks' parts, the sum of their sizes where the result is their
+    product, never the whole product. A presentation of one block is walked
+    lazily, in ``iter_closed``'s order and with its calls.
+    """
+    close = partial(thick_closure, pres)
+    blocks = pres.blocks
+    if len(blocks) < 2:
+        return _fcbo(pres.full_mask, close)
+    parts = [tuple(s & block for s in _fcbo(block, close)) for block in blocks]
+    return map(sum, product(*parts))
 
 
 def enumerate_thick(pres: Presentation) -> ThickLattice:
     """All thick subsets, canonically ordered."""
-    return ThickLattice(pres, canonical_sorted(iter_thick(pres)))
+    # collected first, so that the blocks' parts are freed before the sort
+    return ThickLattice(pres, canonical_sorted(tuple(iter_thick(pres))))
 

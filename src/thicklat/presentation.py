@@ -114,6 +114,23 @@ class Presentation:
                     touching[e].append((vertex & ~(1 << e), p, q))
         return RuleIndex(tuple(map(tuple, touching)), (0,) * self.size, forced)
 
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """Masks of the connected components that the triangles make, by
+        lowest element: a triangle joins the elements of its three vertices,
+        and an element in no triangle is a block of its own. A degenerate
+        triangle's forced elements lie in its block."""
+        found: list[int] = []
+        for ma, mb, mc in self.triangle_masks:
+            joined = ma | mb | mc
+            if joined:
+                met = [b for b in found if b & joined]
+                found = [b for b in found if not b & joined]
+                found.append(reduce(or_, met, joined))
+        free = self.full_mask & ~reduce(or_, found, 0)
+        found += [1 << i for i in pick(range(self.size), free)]
+        return tuple(sorted(found, key=lambda b: b & -b))
+
     def label(self, mask: int) -> str:
         """Brace-joined member names of a subset mask, in index order."""
         return "{" + ",".join(pick(self.names, mask)) + "}"

@@ -16,6 +16,8 @@ there, proved in the tests.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .bitsets import canonical_sorted, mask_of, pick
 from .closure import ThickLattice, iter_closed, propagate
 from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
@@ -42,7 +44,9 @@ def ideal_closure(pres: Presentation, members: int, closed: int = 0,
 def enumerate_ideals(pres: Presentation) -> ThickLattice:
     """All absorption-closed thick subsets, canonical order."""
     _tensor(pres)
-    found = iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c, s))
+    # one FCbO over all elements, not one per triangle block as in
+    # ``iter_thick``: absorption masks link elements across those blocks
+    found = iter_closed(pres.size, partial(ideal_closure, pres))
     return ThickLattice(pres, canonical_sorted(found))
 
 

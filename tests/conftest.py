@@ -136,6 +136,20 @@ def random_presentation(seed, max_indecs=12, max_triangles=10, min_indecs=1):
     return Presentation(names, tuple(triangles))
 
 
+def disjoint_union(*presentations, seed=0):
+    """The presentations side by side, with no triangle between them and no
+    tensor table. The names are shuffled by ``seed``, so that the parts'
+    elements interleave in index order; part k's name x becomes "k.x"."""
+    slots = [(k, i) for k, pres in enumerate(presentations) for i in range(pres.size)]
+    random.Random(seed).shuffle(slots)
+    index = {slot: new for new, slot in enumerate(slots)}
+    names = tuple(f"{k}.{presentations[k].names[i]}" for k, i in slots)
+    triangles = tuple(
+        Triangle(*(make_expr(index[k, i] for i in expr) for expr in (t.a, t.b, t.c)))
+        for k, pres in enumerate(presentations) for t in pres.triangles)
+    return Presentation(names, triangles)
+
+
 def random_tensor_presentation(seed, max_blocks=4, max_triangles=6):
     """Deterministic random presentation with a tensor table.
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,16 @@ from conftest import (
     brute_force_thick,
     closed_by_sweep,
     closure_by_sweep,
+    disjoint_union,
     fcbo_by_handoff,
     object_in,
     random_presentation,
     random_tensor_presentation,
+    triangle_rule_closed,
 )
 from thicklat import closure
 from thicklat.bitsets import canonical_key, mask_of
-from thicklat.closure import enumerate_thick, iter_closed, thick_closure
+from thicklat.closure import enumerate_thick, iter_closed, iter_thick, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.presentation import Presentation, Triangle, builtin
 from thicklat.tensor import ideal_closure
@@ -235,20 +238,103 @@ def test_iter_closed_prunes_as_reference_on_an(n):
     assert_prunes_as_reference(builtin("an", n), thick_closure)
 
 
+def record_closures(monkeypatch):
+    """The members of every ``closure.thick_closure`` call from now on."""
+    calls = []
+    original = closure.thick_closure
+
+    def recorded(pres, members, *rest):
+        calls.append(members)
+        return original(pres, members, *rest)
+
+    monkeypatch.setattr(closure, "thick_closure", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("n,ceiling", [(6, 2_000), (7, 10_000)])
 def test_enumeration_closure_call_ceiling(monkeypatch, n, ceiling):
     # a work gate that does not depend on the wall clock
-    calls = 0
-    original = closure.thick_closure
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(closure, "thick_closure", counted)
+    calls = record_closures(monkeypatch)
     assert len(enumerate_thick(builtin("an", n))) == bell_numbers(n + 1)[-1]
-    assert calls <= ceiling
+    assert len(calls) <= ceiling
+
+
+def test_product_enumeration_makes_two_closures_per_block(monkeypatch):
+    # a work gate: each free element's block is {}, {e} from two closures,
+    # and the 2^16 unions of their parts cost no closure at all
+    calls = record_closures(monkeypatch)
+    assert len(enumerate_thick(builtin("product", 16))) == 1 << 16
+    assert len(calls) == 32
+
+
+def test_connected_presentation_is_walked_as_iter_closed(monkeypatch):
+    # one block: the same lazy walk, in the same order, from the same calls
+    pres = builtin("an", 5)
+    assert len(pres.blocks) == 1
+    calls = record_closures(monkeypatch)
+    sets = iter_thick(pres)
+    walked = [next(sets)]
+    assert len(calls) == 1  # lazy: the bottom comes from the first closure
+    walked += sets
+    ours = calls[:]
+    calls.clear()
+    assert walked == list(iter_closed(pres.size, partial(closure.thick_closure, pres)))
+    assert ours == calls
+
+
+def random_union(seed):
+    """A disjoint union of 2-3 random presentations, 12 elements at most;
+    a part may gain a degenerate triangle that forces one of its elements
+    in, or one whose vertices are all zero."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(2, 3)):
+        part = random_presentation(rng.randrange(1 << 30), max_indecs=4, max_triangles=4)
+        extra = ()
+        if rng.random() < 0.3:
+            extra += (Triangle((), (), (rng.randrange(part.size),)),)
+        if rng.random() < 0.2:
+            extra += (Triangle((), (), ()),)
+        parts.append(Presentation(part.names, part.triangles + extra))
+    return disjoint_union(*parts, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_disjoint_unions_enumerate_as_sweep(seed):
+    pres = random_union(seed)
+    found = list(iter_thick(pres))
+    expected = closed_by_sweep(pres)
+    assert len(found) == len(set(found)) == len(expected)
+    assert enumerate_thick(pres).elements == expected
+
+
+def test_disjoint_union_sweep_covers_each_kind():
+    kinds = {"blocks": 0, "wide blocks": 0, "interleaved": 0, "forced": 0, "all zero": 0,
+             "free": 0}
+    for seed in range(200):
+        pres = random_union(seed)
+        touched = 0
+        for ma, mb, mc in pres.triangle_masks:
+            touched |= ma | mb | mc
+            kinds["all zero"] += not ma | mb | mc
+        kinds["blocks"] += len(pres.blocks) > 1
+        kinds["wide blocks"] += sum(b.bit_count() > 1 for b in pres.blocks) > 1
+        kinds["interleaved"] += any(
+            b.bit_length() - (b & -b).bit_length() >= b.bit_count() for b in pres.blocks)
+        kinds["forced"] += pres.rule_index.forced != 0
+        kinds["free"] += pres.full_mask & ~touched != 0
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize("family,n,factor", [("point", None, 2), ("a2", None, 5),
+                                             ("product", 3, 8)])
+def test_union_with_an7_multiplies_its_count(family, n, factor):
+    # past brute force: an:7 has Bell(8) thick subsets, and a disjoint
+    # summand multiplies that by its own count
+    pres = disjoint_union(builtin("an", 7), builtin(family, n), seed=n or 0)
+    found = list(iter_thick(pres))
+    assert len(found) == len(set(found)) == bell_numbers(8)[-1] * factor
+    assert all(triangle_rule_closed(pres, s) for s in found)
 
 
 def test_enumeration_addition_ceiling(monkeypatch):

@@ -39,6 +39,12 @@ whose point ``x -> {P2}`` holds the arrow that ``map`` prints after each
 point; at commit 10020bd ``map`` exited 0 and its first line read as the
 point ``x`` mapped to ``{P2} -> {P1,P2,S2}``.
 
+The ``blocks`` goldens were written by commit e782be7, which enumerated
+every presentation with one FCbO over all of its elements. Their input puts
+an:3's triangles on names interleaved with a2's, a free name ``F`` and a
+degenerate triangle that forces ``[0,3]``: three blocks of 5, 5 and 2 thick
+subsets, whose 50 unions are now streamed with no closure each.
+
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
 itself is not checked in. ``ENUMERATE_AN8_JSON`` is the digest of
@@ -150,6 +156,21 @@ def test_enumerate_stdout_matches_golden(capsysbinary, name, fmt):
     assert main(["enumerate", *SOURCES[name], *SUPPORT_FORMATS[fmt]]) == 0
     out = capsysbinary.readouterr().out
     assert out == (GOLDEN / f"enumerate-{name}.{fmt}").read_bytes()
+
+
+BLOCKS = ["--input", str(GOLDEN / "blocks.presentation.json")]
+BLOCK_CASES = {
+    "enumerate-blocks.txt": ["enumerate", *BLOCKS],
+    "enumerate-blocks.json": ["enumerate", *BLOCKS, "--json"],
+    "space-blocks.json": ["space", *BLOCKS, "--json"],
+    "lattice-blocks.json": ["lattice", *BLOCKS, "--json"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(BLOCK_CASES))
+def test_block_product_stdout_matches_golden(capsysbinary, golden):
+    assert main(BLOCK_CASES[golden]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
 
 
 CLASH = ["--input", str(GOLDEN / "labels-clash.presentation.json")]

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import disjoint_union, random_presentation
 from thicklat.errors import (
     InvalidParameter,
     SchemaError,
@@ -282,3 +283,51 @@ def test_label_and_expr_names():
     assert pres.label(0b101) == "{P1,S2}"
     assert pres.label(0) == "{}"
     assert pres.expr_names((0, 1, 1)) == ["P1", "P2", "P2"]
+
+
+def blocks_by_search(pres):
+    """Oracle blocks: from each lowest unvisited element, every element that
+    a chain of triangles reaches, each triangle linking its vertices'
+    elements."""
+    linked = [set() for _ in pres.names]
+    for t in pres.triangles:
+        elements = set(t.a + t.b + t.c)
+        for e in elements:
+            linked[e] |= elements
+    blocks, seen = [], set()
+    for start in range(pres.size):
+        if start in seen:
+            continue
+        block, todo = {start}, [start]
+        while todo:
+            for f in linked[todo.pop()] - block:
+                block.add(f)
+                todo.append(f)
+        seen |= block
+        blocks.append(sum(1 << e for e in block))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_blocks_match_search_oracle(seed):
+    pres = random_presentation(seed, max_indecs=16, max_triangles=6)
+    assert pres.blocks == blocks_by_search(pres)
+
+
+def test_blocks_examples():
+    assert builtin("an", 5).blocks == (builtin("an", 5).full_mask,)
+    assert builtin("product", 3).blocks == (1, 2, 4)
+    assert Presentation((), ()).blocks == ()
+    # a degenerate triangle's forced element is a block; an all-zero one links nothing
+    pres = Presentation(("a", "b", "c", "d"), (
+        Triangle((), (), (2,)), Triangle((), (), ()), Triangle((0,), (3,), (3,))))
+    assert pres.blocks == (0b1001, 0b0010, 0b0100)
+
+
+def test_blocks_of_a_disjoint_union_interleave():
+    pres = disjoint_union(builtin("an", 3), builtin("a2"), builtin("point"), seed=2)
+    blocks = pres.blocks
+    assert sorted(map(int.bit_count, blocks)) == [1, 3, 6]
+    assert any(b.bit_length() - (b & -b).bit_length() >= b.bit_count() for b in blocks)
+    for b in blocks:
+        assert len({pres.names[i].partition(".")[0] for i in range(pres.size) if b >> i & 1}) == 1
