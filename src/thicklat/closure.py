@@ -5,19 +5,20 @@ every choice of two vertices whose component supports it contains, it also
 contains the support of the third vertex. Summand closure is built into
 component-wise membership and shift closure is automatic because
 indecomposables are shift orbits, so the triangle rule is the whole story.
-Tensor ideals add one more rule per element (absorption), run by the same
-engine.
+Tensor ideals add one more rule per element (absorption).
 
-Closure is a worklist propagation over the presentation's ``rule_index``:
-only elements not already in a known closed subset are queued, and each
-queued element checks just the triangles that touch it. Enumeration is
-Close-by-One (Kuznetsov 1993) with FCbO's inherited-failure pruning (Krajca,
-Outrata & Vychodil 2010): every closed set is the closure of a closed parent
-plus one element, so each closure starts from a closed base, and each node
-hands its children one copy of its parent's failure records plus its own. As
-in In-Close (Andrews 2009), the canonicity test runs inside the closure: a
-candidate's closure stops at its first addition below the added element, so
-a rejected candidate costs only the work up to that addition.
+Closure is a worklist propagation over a table of rules keyed by the element
+whose arrival can fire them: ``Presentation.rules`` for thick subsets,
+``Presentation.ideal_rules`` for ideals. Only elements not already in a
+known closed subset are queued, and each checks just its own rules.
+Enumeration is Close-by-One (Kuznetsov 1993) with FCbO's inherited-failure
+pruning (Krajca, Outrata & Vychodil 2010): every closed set is the closure
+of a closed parent plus one element, so each closure starts from a closed
+base, and each node hands its children one copy of its parent's failure
+records plus its own. As in In-Close (Andrews 2009), the canonicity test
+runs inside the closure: a candidate's closure stops at its first addition
+below the added element, so a rejected candidate costs only the work up to
+that addition.
 
 The thick subsets of a presentation whose elements fall into several
 blocks, with no triangle between two of them, are the unions of one thick
@@ -35,35 +36,27 @@ from functools import cached_property, partial
 from itertools import product
 
 from .bitsets import canonical_sorted
-from .presentation import Presentation
+from .presentation import Presentation, RuleTable
 
 
-def propagate(pres: Presentation, members: int, closed: int,
-              implied: tuple[int, ...], stop: int = 0) -> int:
-    """Least superset of ``members`` closed under the triangle rule and
-    ``implied`` (the mask each element forces in by itself).
+def propagate(rules: RuleTable, members: int, closed: int, stop: int = 0) -> int:
+    """Least superset of ``members`` closed under the rule table ``rules``.
 
     ``closed`` must be 0 or a subset of ``members`` that is already closed
     under the same rules; its elements are trusted and never re-examined.
-    The rule fires on any two contained vertices because rotating a stored
-    triangle is always permitted.
-
     The walk returns early, with a partial closure, at the first addition
     that meets ``stop``. What it returns lies between ``members`` and the
     closure, meets ``stop`` exactly when the closure does, and is the
     closure whenever it misses ``stop``.
     """
-    index = pres.rule_index
-    touching = index.touching
-    cur = members | index.forced
-    todo = cur & ~closed
+    cur, todo = members, members & ~closed
     while todo:
         low = todo & -todo
         todo ^= low
         e = low.bit_length() - 1
-        add = implied[e]
+        add = 0
         missing = ~cur
-        for rest, p, q in touching[e]:
+        for rest, p, q in rules[e]:
             if rest & missing:
                 continue  # the vertex through e is not complete yet
             if not p & missing:
@@ -85,9 +78,11 @@ def thick_closure(pres: Presentation, members: int, closed: int = 0,
     ``members`` (or 0) whose closure work is already done. A non-zero
     ``stop`` may end the closure early, as in ``propagate``.
 
+    Runs ``pres.rules`` from ``members`` and ``pres.forced``; a rule fires
+    on any two vertices, as rotating a stored triangle is always permitted.
     Extensive, monotone, and idempotent.
     """
-    return propagate(pres, members, closed, pres.rule_index.implied, stop)
+    return propagate(pres.rules, members | pres.forced, closed, stop)
 
 
 def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:

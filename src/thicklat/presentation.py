@@ -24,6 +24,9 @@ from .bitsets import joins, mask_of, pick
 from .errors import InvalidParameter, SchemaError, UnknownFamily, ValidationError
 
 ObjectExpr = tuple[int, ...]
+# per element, the rules (rest, p, q) its arrival can fire: once ``rest`` is
+# in, holding p forces q in and holding q forces p
+RuleTable = tuple[tuple[tuple[int, int, int], ...], ...]
 
 NAME_SEPARATOR = "|"  # joins tensor table keys, so it is banned inside names
 
@@ -35,7 +38,7 @@ def make_expr(indices: Iterable[int]) -> ObjectExpr:
 
 @dataclass(frozen=True)
 class Triangle:
-    """One distinguished triangle; rotations are implied, not stored."""
+    """One distinguished triangle; its rotations hold too and are not stored."""
 
     a: ObjectExpr
     b: ObjectExpr
@@ -65,24 +68,6 @@ class TensorTable:
 
 
 @dataclass(frozen=True)
-class RuleIndex:
-    """Closure rules keyed by the element whose arrival can make them fire.
-
-    For every triangle vertex containing element e, ``touching[e]`` holds
-    (rest of that vertex without e, other vertex, other vertex): once the
-    vertex is complete, containing either other vertex forces the last one.
-    ``implied`` is the mask each element drags in by itself under the plain
-    triangle rule: all zero (for ideals, the tensor's absorption masks take
-    its place). ``forced`` is what degenerate triangles, with two or three
-    zero-object vertices, put into every closed set.
-    """
-
-    touching: tuple[tuple[tuple[int, int, int], ...], ...]
-    implied: tuple[int, ...]
-    forced: int
-
-
-@dataclass(frozen=True)
 class Presentation:
     """Immutable presentation: unique names, triangles, optional tensor."""
 
@@ -103,16 +88,31 @@ class Presentation:
         return tuple((mask_of(t.a), mask_of(t.b), mask_of(t.c)) for t in self.triangles)
 
     @cached_property
-    def rule_index(self) -> RuleIndex:
-        touching: list[list[tuple[int, int, int]]] = [[] for _ in self.names]
-        forced = 0
+    def rules(self) -> RuleTable:
+        """The triangle rules: for every triangle vertex holding e,
+        ``rules[e]`` has (rest of that vertex without e, other vertex,
+        other vertex)."""
+        rules: list[list[tuple[int, int, int]]] = [[] for _ in self.names]
         for ma, mb, mc in self.triangle_masks:
             for vertex, p, q in ((ma, mb, mc), (mb, mc, ma), (mc, ma, mb)):
-                if not p and not q:
-                    forced |= vertex
                 for e in pick(range(self.size), vertex):
-                    touching[e].append((vertex & ~(1 << e), p, q))
-        return RuleIndex(tuple(map(tuple, touching)), (0,) * self.size, forced)
+                    rules[e].append((vertex & ~(1 << e), p, q))
+        return tuple(map(tuple, rules))
+
+    @cached_property
+    def ideal_rules(self) -> RuleTable:
+        """``rules`` plus, per element e, the absorption rule (0, 0, the
+        components of every g*e), which fires as soon as e arrives."""
+        absorbed = self.tensor.absorption_masks
+        return tuple(r + ((0, 0, m),) for r, m in zip(self.rules, absorbed))
+
+    @cached_property
+    def forced(self) -> int:
+        """What degenerate triangles, with two or three zero-object
+        vertices, put into every closed set."""
+        return reduce(or_, (vertex for ma, mb, mc in self.triangle_masks
+                            for vertex, p, q in ((ma, mb, mc), (mb, mc, ma), (mc, ma, mb))
+                            if not p and not q), 0)
 
     @cached_property
     def blocks(self) -> tuple[int, ...]:

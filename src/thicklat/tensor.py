@@ -1,13 +1,14 @@
 """Tensor structure: thick ideals, the prime spectrum, and the comparison map.
 
 With a tensor table present, subsets can additionally be closed under
-absorption (multiplying by anything stays inside). Proper absorption-closed
-subsets where a vanishing product forces a vanishing factor are the primes.
-They are found by a pruned in/out search over the indecomposables, not by
-enumerating every ideal: product:N has 2^N ideals and N primes, and its
-search makes 2N closures. The prime spectrum is the universal construction
-restricted to the primes, and the canonical comparison map into the
-universal space is the inclusion.
+absorption (multiplying by anything stays inside), one more rule per element
+in the closure engine's table. Proper absorption-closed subsets where a
+vanishing product forces a vanishing factor are the primes. They are found
+by a pruned in/out search over the indecomposables, not by enumerating every
+ideal: product:N has 2^N ideals and N primes, and its search makes 2N
+closures. The prime spectrum is the universal construction restricted to the
+primes, and the canonical comparison map into the universal space is the
+inclusion.
 
 Of the support axioms only the unit can fail on a spectrum, since the unit
 law is never validated; the base axioms and the product rule are theorems
@@ -37,8 +38,11 @@ def ideal_closure(pres: Presentation, members: int, closed: int = 0,
     """Least superset closed under the triangle rule and tensor absorption;
     ``closed`` is an ideal contained in ``members`` (or 0). A non-zero
     ``stop`` may end the closure at its first addition meeting ``stop``,
-    with a partial closure, as in ``closure.propagate``."""
-    return propagate(pres, members, closed, _tensor(pres).absorption_masks, stop)
+    with a partial closure, as in ``closure.propagate``. Runs
+    ``pres.ideal_rules``: the triangle rules plus one absorption rule per
+    element."""
+    _tensor(pres)
+    return propagate(pres.ideal_rules, members | pres.forced, closed, stop)
 
 
 def enumerate_ideals(pres: Presentation) -> ThickLattice:

@@ -166,6 +166,20 @@ def random_tensor_presentation(seed, max_blocks=4, max_triangles=6):
         width = rng.randint(1, 2)
         blocks.append(tuple(range(n, n + width)))
         n += width
+    table = block_table(rng, n, blocks)
+    triangles = []
+    for _ in range(rng.randint(0, max_triangles)):
+        vertices = tuple(
+            make_expr(rng.choices(range(n), k=rng.randint(0, 2))) for _ in range(3)
+        )
+        triangles.append(Triangle(*vertices))
+    return Presentation(tuple(f"g{i}" for i in range(n)), tuple(triangles), table)
+
+
+def block_table(rng, n, blocks):
+    """``random_tensor_presentation``'s table on ``n`` elements grouped into
+    ``blocks`` of one or two: e*e = e; a*a = a, a*b = b*a = b and b*b is b
+    or zero as ``rng`` draws; the unit sums every block's first object."""
     table = [[() for _ in range(n)] for _ in range(n)]
     for block in blocks:
         a = block[0]
@@ -174,15 +188,79 @@ def random_tensor_presentation(seed, max_blocks=4, max_triangles=6):
             b = block[1]
             table[a][b] = table[b][a] = (b,)
             table[b][b] = (b,) if rng.random() < 0.5 else ()
-    triangles = []
-    for _ in range(rng.randint(0, max_triangles)):
-        vertices = tuple(
-            make_expr(rng.choices(range(n), k=rng.randint(0, 2))) for _ in range(3)
-        )
-        triangles.append(Triangle(*vertices))
     unit = make_expr(block[0] for block in blocks)
-    tensor = TensorTable(unit, tuple(tuple(row) for row in table))
-    return Presentation(tuple(f"g{i}" for i in range(n)), tuple(triangles), tensor)
+    return TensorTable(unit, tuple(tuple(row) for row in table))
+
+
+def wide_presentation(seed):
+    """Deterministic presentation of 18-28 indecomposables that its
+    triangles join into one block, with a few hundred thick subsets and a
+    ``block_table`` tensor. A chain of triangles runs through every element
+    in a shuffled order; about twelve random triangles per element past 15
+    follow, each vertex one or two components."""
+    rng = random.Random(seed)
+    n = 18 + seed % 11
+    order = rng.sample(range(n), n)
+    triangles = [Triangle((order[k],), (order[k + 1],), (order[(k + 2) % n],))
+                 for k in range(0, n - 1, 2)]
+    for _ in range(rng.randint(12 * n - 180, 12 * n - 170)):
+        vertices = (make_expr(rng.sample(range(n), rng.choice((1, 1, 1, 2))))
+                    for _ in range(3))
+        triangles.append(Triangle(*vertices))
+    blocks, start = [], 0
+    while start < n:
+        width = min(n - start, rng.randint(1, 2))
+        blocks.append(tuple(range(start, start + width)))
+        start += width
+    names = tuple(f"g{i}" for i in range(n))
+    return Presentation(names, tuple(triangles), block_table(rng, n, blocks))
+
+
+def fixpoint_closure(pres, ideal=False):
+    """Oracle closure read straight off ``triangle_masks``: wherever two
+    vertices of a triangle are in, put the third in, and with ``ideal`` put
+    in every component of g*x for each member x, until nothing changes."""
+    # each triangle's vertices together, and each pair of them
+    unions = [(ma | mb | mc, ma | mb, mb | mc, mc | ma) for ma, mb, mc in pres.triangle_masks]
+    absorbed = [mask_of(c for row in pres.tensor.table for c in row[x])
+                for x in range(pres.size)] if ideal else []
+
+    def close(members):
+        cur = members
+        changed = True
+        while changed:
+            changed = False
+            for whole, ab, bc, ca in unions:
+                out = ~cur
+                if whole & out and not (ab & out and bc & out and ca & out):
+                    cur |= whole
+                    changed = True
+            for x, m in enumerate(absorbed):
+                if cur >> x & 1 and m & ~cur:
+                    cur |= m
+                    changed = True
+        return cur
+
+    return close
+
+
+def next_closure(n, close):
+    """Ganter's NextClosure (1984): every fixed point of ``close`` on
+    subsets of range(n), in lectic order, each found from the one before."""
+    current = close(0)
+    while True:
+        yield current
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if current & bit:
+                current ^= bit
+                continue
+            found = close(current | bit)
+            if not found & ~current & (bit - 1):
+                current = found
+                break
+        else:
+            return
 
 
 def bell_numbers(count):

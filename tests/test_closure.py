@@ -12,17 +12,20 @@ from conftest import (
     closure_by_sweep,
     disjoint_union,
     fcbo_by_handoff,
+    fixpoint_closure,
+    next_closure,
     object_in,
     random_presentation,
     random_tensor_presentation,
     triangle_rule_closed,
+    wide_presentation,
 )
 from thicklat import closure
 from thicklat.bitsets import canonical_key, mask_of
 from thicklat.closure import enumerate_thick, iter_closed, iter_thick, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.presentation import Presentation, Triangle, builtin
-from thicklat.tensor import ideal_closure
+from thicklat.tensor import enumerate_ideals, ideal_closure
 
 A2 = builtin("a2")
 
@@ -321,7 +324,7 @@ def test_disjoint_union_sweep_covers_each_kind():
         kinds["wide blocks"] += sum(b.bit_count() > 1 for b in pres.blocks) > 1
         kinds["interleaved"] += any(
             b.bit_length() - (b & -b).bit_length() >= b.bit_count() for b in pres.blocks)
-        kinds["forced"] += pres.rule_index.forced != 0
+        kinds["forced"] += pres.forced != 0
         kinds["free"] += pres.full_mask & ~touched != 0
     assert min(kinds.values()) >= 20, kinds
 
@@ -376,3 +379,36 @@ def test_bottom_and_top():
     lat = enumerate_thick(A2)
     assert lat.elements[0] == 0
     assert lat.elements[-1] == A2.full_mask
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_wide_enumeration_matches_next_closure(seed):
+    # past the sweep oracles: NextClosure over a fixpoint read off the
+    # triangles and the table, on one block of 18-28 elements, where FCbO's
+    # failure records and the early stop prune most
+    pres = wide_presentation(seed)
+    assert 18 <= pres.size <= 28 and len(pres.blocks) == 1
+    thick, ideals = enumerate_thick(pres), enumerate_ideals(pres)
+    assert 50 <= len(thick) <= 500 and len(ideals) < len(thick)
+    for lattice, ideal in ((thick, False), (ideals, True)):
+        found = sorted(next_closure(pres.size, fixpoint_closure(pres, ideal)))
+        assert sorted(lattice.elements) == found
+    assert_prunes_as_reference(pres, thick_closure)
+
+
+def with_copy_of_a_triangle(pres, rng):
+    """``pres`` with one more triangle: a stored one again, or one of its
+    two proper rotations, each of which states the same triangle."""
+    t = rng.choice(pres.triangles)
+    copy = rng.choice([(t.a, t.b, t.c), (t.b, t.c, t.a), (t.c, t.a, t.b)])
+    return Presentation(pres.names, pres.triangles + (Triangle(*copy),), pres.tensor)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_a_rotated_or_repeated_triangle_changes_nothing(seed):
+    rng = random.Random(seed)
+    for pres, enumerate_ in ((random_presentation(seed), enumerate_thick),
+                             (random_tensor_presentation(seed), enumerate_ideals)):
+        if pres.triangles:
+            again = with_copy_of_a_triangle(pres, rng)
+            assert enumerate_(again).elements == enumerate_(pres).elements

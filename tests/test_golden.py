@@ -45,6 +45,12 @@ an:3's triangles on names interleaved with a2's, a free name ``F`` and a
 degenerate triangle that forces ``[0,3]``: three blocks of 5, 5 and 2 thick
 subsets, whose 50 unions are now streamed with no closure each.
 
+The ``tensor-triangles`` goldens were written by commit 459a8ee, whose
+ideal closure took absorption as a mask per element beside the triangle
+rules. Their input has idempotents e1, e2 and e3, two blocks a*b = b, and
+triangles across the blocks, one of them degenerate and forcing ``b2``: the
+only goldens whose ideal closures fire both triangle and absorption rules.
+
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
 itself is not checked in. ``ENUMERATE_AN8_JSON`` is the digest of
@@ -170,6 +176,18 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("golden", sorted(BLOCK_CASES))
 def test_block_product_stdout_matches_golden(capsysbinary, golden):
     assert main(BLOCK_CASES[golden]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
+
+
+TENSOR_TRIANGLES = ["--input", str(GOLDEN / "tensor-triangles.presentation.json")]
+TENSOR_TRIANGLE_CASES = {
+    f"{command}-tensor-triangles.{fmt}": [command, *TENSOR_TRIANGLES, *flags]
+    for command in ("spectrum", "compare") for fmt, flags in SUPPORT_FORMATS.items()}
+
+
+@pytest.mark.parametrize("golden", sorted(TENSOR_TRIANGLE_CASES))
+def test_ideal_closure_with_both_rule_kinds_matches_golden(capsysbinary, golden):
+    assert main(TENSOR_TRIANGLE_CASES[golden]) == 0
     assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import disjoint_union, random_presentation
+from conftest import disjoint_union, random_presentation, random_tensor_presentation
 from thicklat.errors import (
     InvalidParameter,
     SchemaError,
@@ -331,3 +331,61 @@ def test_blocks_of_a_disjoint_union_interleave():
     assert any(b.bit_length() - (b & -b).bit_length() >= b.bit_count() for b in blocks)
     for b in blocks:
         assert len({pres.names[i].partition(".")[0] for i in range(pres.size) if b >> i & 1}) == 1
+
+
+def rules_by_reading(pres):
+    """Oracle rule tables: per element e, (vertex without e, next vertex,
+    the one after) for every vertex of a stored triangle holding e, read in
+    each of the three cyclic orders; what a triangle forces where two of its
+    vertices are zero; and per element e, one more rule (0, 0, every
+    component of g*e) for ideals."""
+    rules = [[] for _ in range(pres.size)]
+    forced = 0
+    for masks in pres.triangle_masks:
+        if sum(m == 0 for m in masks) >= 2:
+            forced |= masks[0] | masks[1] | masks[2]
+        for k, vertex in enumerate(masks):
+            for e in range(pres.size):
+                if vertex >> e & 1:
+                    rules[e].append((vertex & ~(1 << e), masks[(k + 1) % 3], masks[(k + 2) % 3]))
+    ideal = None
+    if pres.tensor is not None:
+        table = pres.tensor.table
+        ideal = [r + [(0, 0, sum({1 << c for row in table for c in row[e]}))]
+                 for e, r in enumerate(rules)]
+    return rules, forced, ideal
+
+
+def sorted_table(table):
+    return [sorted(rules) for rules in table]
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_rule_tables_match_a_reading_of_the_triangles(seed):
+    pres = random_presentation(seed)
+    rules, forced, _ = rules_by_reading(pres)
+    assert sorted_table(pres.rules) == sorted_table(rules)
+    assert pres.forced == forced
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_ideal_rule_tables_match_a_reading_of_the_table(seed):
+    pres = random_tensor_presentation(seed)
+    rules, forced, ideal = rules_by_reading(pres)
+    assert sorted_table(pres.rules) == sorted_table(rules)
+    assert sorted_table(pres.ideal_rules) == sorted_table(ideal)
+    assert pres.forced == forced
+
+
+def test_rule_table_seeds_cover_each_kind():
+    kinds = {"zero vertex": 0, "all zero": 0, "forced": 0, "repeated": 0, "absorbing": 0}
+    for seed in range(150):
+        for pres in (random_presentation(seed), random_tensor_presentation(seed)):
+            kinds["zero vertex"] += any(not t.a or not t.b or not t.c for t in pres.triangles)
+            kinds["all zero"] += any(not (t.a or t.b or t.c) for t in pres.triangles)
+            kinds["forced"] += pres.forced != 0
+            kinds["repeated"] += any(len(set(v)) < len(v) for t in pres.triangles
+                                     for v in (t.a, t.b, t.c))
+            kinds["absorbing"] += pres.tensor is not None and any(
+                m & ~(1 << e) for e, m in enumerate(pres.tensor.absorption_masks))
+    assert min(kinds.values()) >= 20, kinds
