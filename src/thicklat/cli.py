@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .bitsets import joins, omitted, pick
-from .closure import enumerate_thick, iter_thick
+from .closure import count_thick, enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
 from .presentation import Presentation, _decode_json, builtin, parse_presentation
@@ -355,7 +355,7 @@ def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
     # the comparison map is the inclusion of the primes, so "fixes primes"
     # and "injective" are theorems, not checks, and its size is theirs
     doc = {"spectrum_points": len(spectrum.primes),
-           "universal_points": sum(1 for _ in iter_thick(pres)),
+           "universal_points": count_thick(pres),
            "iota_fixes_primes": True, "injective": True}
     if args.json:
         return doc, EXIT_OK

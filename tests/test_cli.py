@@ -544,7 +544,7 @@ def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
         raise RuntimeError("enumerated before the inputs were checked")
 
     monkeypatch.setattr("thicklat.cli.enumerate_thick", refuse)
-    monkeypatch.setattr("thicklat.cli.iter_thick", refuse)
+    monkeypatch.setattr("thicklat.cli.count_thick", refuse)
     assert run(capsys, "map", "--builtin", "an:4", "--datum", "/does/not/exist.json")[0] == 2
     for argv in (["generate", "--builtin", "an:4", "--points", "-1"],
                  ["generate", "--builtin", "an:4", "--seed", "-1"],

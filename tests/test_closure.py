@@ -1,5 +1,8 @@
+import importlib
+import json
 import random
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from conftest import (
     disjoint_union,
     fcbo_by_handoff,
     fixpoint_closure,
+    key_by_members,
     next_closure,
     object_in,
     random_presentation,
@@ -21,13 +25,15 @@ from conftest import (
     wide_presentation,
 )
 from thicklat import closure
-from thicklat.bitsets import canonical_key, mask_of
+from thicklat.bitsets import canonical_key, canonical_sorted, mask_of
 from thicklat.closure import enumerate_thick, iter_closed, iter_thick, thick_closure
 from thicklat.errors import TooLarge
-from thicklat.presentation import Presentation, Triangle, builtin
+from thicklat.presentation import (
+    Presentation, Triangle, builtin, make_expr, presentation_from_document)
 from thicklat.tensor import enumerate_ideals, ideal_closure
 
 A2 = builtin("a2")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def masks(pres, *name_groups):
@@ -263,17 +269,25 @@ def test_enumeration_closure_call_ceiling(monkeypatch, n, ceiling):
 
 
 def test_product_enumeration_makes_two_closures_per_block(monkeypatch):
-    # a work gate: each free element's block is {}, {e} from two closures,
-    # and the 2^16 unions of their parts cost no closure at all
+    # a work gate past the table bound: an:6 beside three free elements,
+    # each free element's block {}, {e} from two closures, and the 7,016
+    # unions of the blocks' parts cost no closure at all
+    an6 = builtin("an", 6)
+    pres = Presentation(an6.names + ("f0", "f1", "f2"), an6.triangles)
+    assert not closure._fits_table(pres) and len(pres.blocks) == 4
     calls = record_closures(monkeypatch)
-    assert len(enumerate_thick(builtin("product", 16))) == 1 << 16
-    assert len(calls) == 32
+    assert len(enumerate_thick(an6)) == 877
+    walked = len(calls)
+    calls.clear()
+    assert len(enumerate_thick(pres)) == 877 << 3
+    assert len(calls) == walked + 2 * 3
 
 
 def test_connected_presentation_is_walked_as_iter_closed(monkeypatch):
-    # one block: the same lazy walk, in the same order, from the same calls
-    pres = builtin("an", 5)
-    assert len(pres.blocks) == 1
+    # one block past the table bound: the same lazy walk, in the same order,
+    # from the same calls
+    pres = builtin("an", 6)
+    assert len(pres.blocks) == 1 and not closure._fits_table(pres)
     calls = record_closures(monkeypatch)
     sets = iter_thick(pres)
     walked = [next(sets)]
@@ -283,6 +297,44 @@ def test_connected_presentation_is_walked_as_iter_closed(monkeypatch):
     calls.clear()
     assert walked == list(iter_closed(pres.size, partial(closure.thick_closure, pres)))
     assert ours == calls
+
+
+SPARSE = presentation_from_document(
+    json.loads((GOLDEN / "sparse104.presentation.json").read_text()))
+
+
+@pytest.mark.parametrize("pres,count", [(builtin("product", 16), 1 << 16),
+                                        (builtin("an", 5), 203), (SPARSE, 32_423)])
+def test_table_enumeration_makes_no_closure(monkeypatch, pres, count):
+    # a work gate within the table bound: every set is read off the table
+    assert closure._fits_table(pres)
+    calls = record_closures(monkeypatch)
+    assert len(enumerate_thick(pres)) == closure.count_thick(pres) == count
+    assert calls == []
+
+
+def test_table_bound_holds_its_edge(monkeypatch):
+    # product:20 costs (0 + 16) << 20, the bound itself, and is counted off
+    # the table with no closure; one element more, each block is walked
+    calls = record_closures(monkeypatch)
+    assert closure.count_thick(builtin("product", 20)) == 1 << 20
+    assert calls == []
+    assert closure.count_thick(builtin("product", 21)) == 1 << 21
+    assert len(calls) == 2 * 21
+
+
+def test_benchmark_inputs_fall_on_both_sides_of_the_bound(monkeypatch):
+    # bench/run.py's enumerate workload times both engines: its sparse
+    # entries take the table, an:6, an:7 and its dense entries are walked
+    bench = Path(__file__).parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    gen = importlib.import_module("gen")
+    pools = json.loads((bench / "expected.json").read_text())["pools"]
+    sparse = [gen.sparse_presentation(g) for g in pools["sparse"]]
+    walked = [gen.dense_presentation(g) for g in pools["dense"]]
+    assert all(closure._fits_table(presentation_from_document(d)) for d in sparse)
+    assert not any(closure._fits_table(presentation_from_document(d)) for d in walked)
+    assert not any(closure._fits_table(builtin("an", n)) for n in (6, 7))
 
 
 def random_union(seed):
@@ -304,10 +356,12 @@ def random_union(seed):
 
 @pytest.mark.parametrize("seed", range(200))
 def test_disjoint_unions_enumerate_as_sweep(seed):
+    # read off the table, and walked block by block as past the table bound
     pres = random_union(seed)
-    found = list(iter_thick(pres))
     expected = closed_by_sweep(pres)
-    assert len(found) == len(set(found)) == len(expected)
+    for found in (list(iter_thick(pres)), list(closure._walk_blocks(pres))):
+        assert len(found) == len(set(found)) == len(expected)
+        assert canonical_sorted(found) == expected
     assert enumerate_thick(pres).elements == expected
 
 
@@ -340,10 +394,65 @@ def test_union_with_an7_multiplies_its_count(family, n, factor):
     assert all(triangle_rule_closed(pres, s) for s in found)
 
 
+def engine_presentation(seed):
+    """A presentation of seed % 21 elements, on either side of the table
+    bound: up to two free elements, vertices of 0-2 components drawn with
+    repeats, and triangle counts around the bound from 17 elements on; it
+    may gain a degenerate triangle that forces an element in, or one whose
+    vertices are all zero."""
+    rng = random.Random(seed)
+    n = seed % 21
+    linked = rng.sample(range(n), n - rng.randint(0, min(n, 2)))
+    room = (closure.TABLE_BOUND >> n) - 16  # the most triangles the table takes
+    if n >= 17:
+        count = rng.randint(max(n // 2, room - 8), max(n, room + 8))
+    else:
+        count = rng.randint(0, 3 * n)
+    triangles = [Triangle(*(make_expr(rng.choices(linked, k=rng.choice((0, 1, 1, 1, 2, 2))))
+                            for _ in range(3))) for _ in range(count if linked else 0)]
+    if n and rng.random() < 0.2:
+        triangles.append(Triangle((), (), (rng.randrange(n),)))
+    if rng.random() < 0.15:
+        triangles.append(Triangle((), (), ()))
+    return Presentation(tuple(f"g{i}" for i in range(n)), tuple(triangles))
+
+
+@pytest.mark.parametrize("seed", range(294))
+def test_table_matches_next_closure_and_the_walk(seed):
+    # the table, past the bound too, against NextClosure over a fixpoint
+    # read off the triangles and against FCbO over all elements; in each
+    # size it lists the sets in member-sequence order
+    pres = engine_presentation(seed)
+    table = list(closure._table_sets(pres.size, closure._closed_table(pres)))
+    walked = closure._fcbo(pres.full_mask, partial(thick_closure, pres))
+    expected = sorted(next_closure(pres.size, fixpoint_closure(pres)))
+    assert sorted(table) == expected == sorted(walked)
+    assert sorted(table, key=int.bit_count) == sorted(table, key=key_by_members)
+    assert closure._closed_table(pres).bit_count() == len(table)
+
+
+def test_engine_presentations_cover_each_kind():
+    kinds = dict.fromkeys(("tiny", "table", "walk", "forced", "all zero", "repeats", "free"), 0)
+    for seed in range(294):
+        pres = engine_presentation(seed)
+        touched = 0
+        for ma, mb, mc in pres.triangle_masks:
+            touched |= ma | mb | mc
+            kinds["all zero"] += not ma | mb | mc
+        kinds["tiny"] += pres.size < 3
+        kinds["table" if closure._fits_table(pres) else "walk"] += 1
+        kinds["forced"] += pres.forced != 0
+        kinds["repeats"] += any(len(set(v)) < len(v) for t in pres.triangles
+                                for v in (t.a, t.b, t.c))
+        kinds["free"] += pres.full_mask & ~touched != 0
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_enumeration_addition_ceiling(monkeypatch):
     # a work gate that does not depend on the wall clock: a third of the
     # candidates here are rejected, and each rejected closure stops at its
-    # first addition below the new element instead of at its fixpoint
+    # first addition below the new element instead of at its fixpoint; the
+    # walk is called directly, as the table takes this presentation
     pres = random_presentation(192, max_indecs=16, max_triangles=20)
     added = 0
     original = closure.thick_closure
@@ -355,7 +464,7 @@ def test_enumeration_addition_ceiling(monkeypatch):
         return result
 
     monkeypatch.setattr(closure, "thick_closure", counted)
-    assert enumerate_thick(pres).elements == closed_by_sweep(pres)
+    assert canonical_sorted(closure._walk_blocks(pres)) == closed_by_sweep(pres)
     assert added <= 450  # 355 with the early stop, 883 without
 
 

@@ -51,6 +51,13 @@ rules. Their input has idempotents e1, e2 and e3, two blocks a*b = b, and
 triangles across the blocks, one of them degenerate and forcing ``b2``: the
 only goldens whose ideal closures fire both triangle and absorption rules.
 
+``sparse104.presentation.json`` is ``bench/gen.py``'s
+``sparse_presentation(104)``: 19 indecomposables and 13 triangles of 1-2
+components, whose 32,423 thick subsets are read off the truth table of
+their rules. ``ENUMERATE_SPARSE104_JSON`` is the digest of its
+``enumerate --json`` as written by commit f7a7b89, which walked every
+presentation with FCbO; an:6 and an:8 stay past the table bound.
+
 ``SPACE_AN8`` is the digest of ``space --builtin an:8`` as written when every
 support was listed by a loop taking one low bit per step; the 27 MB text
 itself is not checked in. ``ENUMERATE_AN8_JSON`` is the digest of
@@ -272,6 +279,18 @@ def test_enumerate_an8_json_stdout_matches_recorded_digest(capsysbinary):
     assert main(["enumerate", "--builtin", "an:8", "--json"]) == 0
     out = capsysbinary.readouterr().out
     assert (len(out), hashlib.sha256(out).hexdigest()) == ENUMERATE_AN8_JSON
+
+
+# (bytes, sha256) of the 32,423 thick subsets of sparse104 as a JSON document
+ENUMERATE_SPARSE104_JSON = (
+    3_031_263, "28ccb5a1f595e42d6f04077590ef7a6747bcfd115fe5c53c4cf7e97eea513c80")
+
+
+def test_enumerate_sparse104_json_stdout_matches_recorded_digest(capsysbinary):
+    assert main(["enumerate", "--input", str(GOLDEN / "sparse104.presentation.json"),
+                 "--json"]) == 0
+    out = capsysbinary.readouterr().out
+    assert (len(out), hashlib.sha256(out).hexdigest()) == ENUMERATE_SPARSE104_JSON
 
 
 # Work gate: the subsets are sorted and written with no Python call per
