@@ -100,10 +100,10 @@ def _load_presentation(args: argparse.Namespace) -> Presentation:
         family, _, raw_n = args.builtin.partition(":")
         n = None
         if raw_n:
-            try:
-                n = int(raw_n)
-            except ValueError:
+            # int() would also take "1_0", " 3", "+3" and non-ASCII digits
+            if not (raw_n.isascii() and raw_n.isdigit()):
                 raise InvalidParameter(f"builtin parameter {raw_n!r} is not an integer")
+            n = int(raw_n)
         return builtin(family, n)
     if args.input:
         return parse_presentation(_read_text(args.input))

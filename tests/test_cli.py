@@ -2,12 +2,12 @@ import contextlib
 import io
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_presentation, random_tensor_presentation
+from run_cases import GOLDEN, ROOT, load_cases, mismatch
 from thicklat import lattice
 from thicklat.bitsets import pick
 from thicklat.cli import _json_text, _load_presentation, _parser, _Picks, _render, main
@@ -31,54 +31,13 @@ from thicklat.space import (
 )
 from thicklat.tensor import primes
 
-GOLDEN = Path(__file__).parent / "golden"
+CASES = load_cases()
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_enumerate_a2(capsys):
-    code, out, _ = run(capsys, "enumerate", "--builtin", "a2")
-    assert code == 0
-    assert out == "{}\n{P1}\n{P2}\n{S2}\n{P1,P2,S2}\n"
-
-
-def test_enumerate_json(capsys):
-    code, out, _ = run(capsys, "enumerate", "--builtin", "a2", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["count"] == 5
-    assert doc["subcategories"][0] == []
-    assert doc["subcategories"][-1] == ["P1", "P2", "S2"]
-
-
-def test_lattice_report(capsys):
-    code, out, _ = run(capsys, "lattice", "--builtin", "a2")
-    assert code == 0
-    assert "distributive: false" in out
-    assert "modular: true" in out
-    assert "size: 5" in out
-    assert "distributive witness: x={P1} y={P2} z={S2} lhs={P1} rhs={}" in out
-
-
-def test_lattice_json(capsys):
-    code, out, _ = run(capsys, "lattice", "--builtin", "point", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["distributive"] is True
-    assert doc["distributive_witness"] is None
-    assert doc["size"] == 2
-
-
-def test_lattice_dot_stdout(capsys):
-    code, out, _ = run(capsys, "lattice", "--builtin", "a2", "--dot")
-    assert code == 0
-    assert out.startswith("digraph thick_lattice {")
-    assert out.count("[label=") == 5
-    assert out.count(" -> ") == 6
 
 
 def test_lattice_dot_file(capsys, tmp_path):
@@ -146,14 +105,6 @@ def test_lattice_dot_file_finds_the_covers_once(capsys, monkeypatch, tmp_path):
     assert counts == [1, 1]
 
 
-def test_space_summary(capsys):
-    code, out, _ = run(capsys, "space", "--builtin", "a2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "points: 5"
-    assert "sup(P1): {}, {P2}, {S2}" in lines
-
-
 def test_check_valid_datum(capsys, tmp_path):
     datum = {"points": ["u"], "sigma": {"P1": [], "P2": [], "S2": []}}
     path = tmp_path / "datum.json"
@@ -218,18 +169,6 @@ def test_map_with_invalid_datum(capsys, tmp_path):
     assert "datum: invalid" in out
 
 
-def test_spectrum_product2(capsys):
-    code, out, _ = run(capsys, "spectrum", "--builtin", "product:2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "primes: 2"
-    assert "{e1}" in lines and "{e2}" in lines
-    assert "supp(e1): {e2}" in lines
-    assert "unit: satisfied" in lines
-    assert "products: satisfied" in lines
-    assert lines[-1] == "verdict: valid"
-
-
 def test_spectrum_without_tensor_is_an_error(capsys):
     code, _, err = run(capsys, "spectrum", "--builtin", "a2")
     assert code == 2
@@ -243,24 +182,6 @@ def test_spectrum_product40_json(capsys):
     names = [f"e{i}" for i in range(1, 41)]
     primes = json.loads(out)["primes"]
     assert sorted(primes) == sorted([n for n in names if n != e] for e in names)
-
-
-def test_compare_product2_json(capsys):
-    code, out, _ = run(capsys, "compare", "--builtin", "product:2", "--json")
-    assert code == 0
-    assert json.loads(out) == {
-        "injective": True,
-        "iota_fixes_primes": True,
-        "spectrum_points": 2,
-        "universal_points": 4,
-    }
-
-
-def test_compare_product3_text(capsys):
-    code, out, _ = run(capsys, "compare", "--builtin", "product:3")
-    assert code == 0
-    assert "spectrum points: 3" in out
-    assert "universal points: 8" in out
 
 
 def test_compare_counts_without_sorting(capsys, monkeypatch):
@@ -318,6 +239,11 @@ def test_generate_feeds_check(capsys, tmp_path):
     ("enumerate", "--builtin", "an:0"),
     ("enumerate", "--builtin", "an:x"),
     ("enumerate", "--input", "/does/not/exist.json"),
+    # int() would read each of these as a number
+    ("enumerate", "--builtin", "an:1_0"),
+    ("enumerate", "--builtin", "an: 3"),
+    ("enumerate", "--builtin", "an:+3"),
+    ("enumerate", "--builtin", "an:\u0663"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -562,28 +488,23 @@ def _refuse(*args):
 
 
 def test_map_without_morphism_builds_no_universal_space(capsysbinary, monkeypatch):
-    status = json.loads((GOLDEN / "exit-status.json").read_text())
-    valid = ["--datum", str(GOLDEN / "generate-an4.json")]
-    argv = {"valid": valid, "invalid": ["--datum", str(GOLDEN / "an4-datum-invalid.json")],
-            "mutated": [*valid, "--morphism", str(GOLDEN / "an4-morphism-mutated.json")]}
-    formats = {"txt": [], "json": ["--json"]}
+    monkeypatch.chdir(ROOT)
 
     def assert_golden(kind, fmt):
-        code = main(["map", "--builtin", "an:4", *argv[kind], *formats[fmt]])
-        golden = f"map-an4-{kind}.{fmt}"
-        assert (code, capsysbinary.readouterr().out) == (
-            status[golden], (GOLDEN / golden).read_bytes())
+        case = CASES[f"map-an4-{kind}.{fmt}"]
+        status = main(case["argv"])
+        assert mismatch(case, status, *capsysbinary.readouterr()) is None
 
     with monkeypatch.context() as patch:
         patch.setattr("thicklat.cli.enumerate_thick", _refuse)
         patch.setattr("thicklat.cli.build_sp", _refuse)
-        for fmt in formats:
+        for fmt in ("txt", "json"):
             assert_golden("valid", fmt)
             assert_golden("invalid", fmt)
             # only a --morphism target, any point's label, needs the space
             with pytest.raises(RuntimeError):
                 assert_golden("mutated", fmt)
-    for fmt in formats:
+    for fmt in ("txt", "json"):
         assert_golden("mutated", fmt)
 
 

@@ -3,12 +3,14 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import thicklat
 
 PACKAGE = Path(thicklat.__file__).parent
+ROOT = Path(__file__).parent.parent
 
 
 def test_package_has_no_assert_statements():
@@ -44,7 +46,7 @@ def test_package_imports_only_itself_and_the_standard_library():
 def test_names_the_benchmark_traces_still_resolve():
     # bench/spans.py patches these names by module attribute, so a rename or
     # deletion would otherwise surface only when the benchmark runs
-    path = Path(__file__).parent.parent / "bench" / "spans.py"
+    path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -58,7 +60,17 @@ def test_names_the_benchmark_traces_still_resolve():
 
 def test_readme_library_example_runs():
     # the first python block after "## Library", run as it stands
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("\n## Library\n"):]
     start = library.index("```python\n") + len("```python\n")
     exec(compile(library[start:library.index("```", start)], "README.md", "exec"), {})
+
+
+def test_ci_runs_the_cli_only_through_the_case_list():
+    # a command or a digest written into the workflow is a second list of
+    # cases that nothing compares with tests/golden/cases.json
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    code = "\n".join(line.partition("#")[0] for line in workflow.splitlines())
+    assert re.findall(r"\b(?:cmp|sha256sum)\b", code) == []
+    assert re.findall(r"\S*\bthicklat\b\S*", code) == []
+    assert code.count("python3 tests/run_cases.py") == 1
