@@ -5,8 +5,12 @@ morphism check said no), 2 usage or input errors.
 
 ``main`` loads the presentation and hands it to one handler per subcommand.
 A handler builds only the output that was asked for and returns it with the
-exit status: a JSON document as a ``dict``, text as a list of lines, or a
-``str`` written as it is. ``main`` renders and writes it.
+exit status: a JSON document as a ``dict``, or text as an iterable of
+chunks. A handler does all of its work and every check before it returns,
+so an error exits 2 with nothing written, and renders lazily: ``main``
+writes each chunk as it is rendered, and holds a slice of ``CHUNK_ROWS``
+rows or lines, or one long line, never the whole output. A ``MemoryError``
+while it writes exits 2 after the chunks before it.
 
 A line that states a theorem (a spectrum's base axioms and products, the
 universal morphism's pullbacks, what ``compare`` says of the inclusion) is
@@ -25,15 +29,15 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Sequence
-from itertools import repeat
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .bitsets import joins, omitted, pick
-from .closure import count_thick, enumerate_thick
+from .closure import count_thick, count_thick_by_blocks, enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
-from .lattice import DEFAULT_MAX_SIZE, analyze, covering_pairs, export_dot
+from .lattice import DEFAULT_MAX_SIZE, analyze, check_size, covering_pairs, export_dot
 from .presentation import Presentation, _decode_json, builtin, parse_presentation
 from .space import (
     POINT_ARROW,
@@ -57,8 +61,13 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_ERROR = 2
 
-# a JSON document, text lines, or text written as it is; and the exit status
-Output = tuple[dict | list[str] | tuple[str, ...] | str, int]
+# a JSON document or chunks of text, and the exit status
+Output = tuple[dict | Iterable[str], int]
+
+# rows or lines per chunk: about 100 KB of a subset list, which stays in the
+# cache while it is encoded and written (sparse104's `enumerate --json` took
+# 29 ms in chunks of 1,024 rows, 34 ms of 4,096 and 42 ms of 16,384)
+CHUNK_ROWS = 1024
 
 # supports by omission satisfy the base axioms over any family of thick
 # subsets, so the support axioms of a spectrum are reported from here
@@ -123,8 +132,20 @@ def _load_json(path: str) -> object:
     return _decode_json(_read_text(path), path)
 
 
+def _json_chunks(doc: object) -> Iterator[str]:
+    return chain(_render(doc, "\n"), ("\n",))
+
+
 def _json_text(doc: object) -> str:
-    return _render(doc, "\n") + "\n"
+    return "".join(_json_chunks(doc))
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, each ended by a newline, as one chunk per ``CHUNK_ROWS`` lines."""
+    lines = iter(lines)
+    while batch := list(islice(lines, CHUNK_ROWS)):
+        batch.append("")
+        yield "\n".join(batch)
 
 
 class _Picks:
@@ -137,44 +158,78 @@ class _Picks:
     def __init__(self, quoted: Sequence[str], masks: int | Sequence[int]) -> None:
         self.quoted, self.masks = quoted, masks
 
+    def __len__(self) -> int:
+        """The length of the list it stands for."""
+        if isinstance(self.masks, int):
+            return (self.masks & (1 << len(self.quoted)) - 1).bit_count()
+        return len(self.masks)
 
-def _render(obj: object, newline: str) -> str:
+
+def _render(obj: object, newline: str) -> Iterator[str]:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an ``obj`` at the
     indentation that ``newline`` (a newline and spaces) starts, with each
-    ``_Picks`` written as the lists of strings it stands for."""
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{_quote(k)}: {_render(obj[k], inner)}" for k in sorted(obj))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, _Picks):
-        if isinstance(obj.masks, int):
-            return _array(pick(obj.quoted, obj.masks), newline)
-        # ``_array``'s text from one join of the rows, each row's names joined by ``joins``,
-        # brackets in the separator; "[", two indents, "]" is an empty row, as quoted names
-        # hold no "\n"
+    ``_Picks`` written as the lists of strings it stands for: one chunk per
+    member of a dict and per slice of ``CHUNK_ROWS`` items of a ``_Picks``
+    member longer than that. A list is one chunk, so the documents hold
+    their long lists in ``_Picks`` reached through dicts."""
+    if isinstance(obj, _Picks) and isinstance(obj.masks, int):
+        yield from _array(pick(obj.quoted, obj.masks), newline)
+    elif isinstance(obj, _Picks):
+        # each row's names joined by ``joins``, its brackets written by ``_array``;
+        # "[", two indents, "]" is an empty row, as quoted names hold no "\n", and
+        # a chunk holds whole rows, so no empty row straddles two chunks
+        inner = newline + "  "
         deeper = inner + "  "
+        empty = f"[{deeper}{inner}]"
         rows = joins(obj.quoted, obj.masks, "," + deeper)
-        text = (inner + "]," + inner + "[" + deeper).join(rows)
-        text = f"[{inner}[{deeper}{text}{inner}]{newline}]" if obj.masks else "[]"
-        return text.replace(f"[{deeper}{inner}]", "[]")
+        for chunk in _array(rows, newline, "[" + deeper, inner + "]"):
+            yield chunk.replace(empty, "[]")
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        lead = "{" + inner
+        for k in sorted(obj):
+            value = obj[k]
+            if isinstance(value, dict) or isinstance(value, _Picks) and len(value) > CHUNK_ROWS:
+                yield lead + _quote(k) + ": "
+                yield from _render(value, inner)
+            else:
+                yield lead + _quote(k) + ": " + _text(value, inner)
+            lead = "," + inner
+        yield "{}" if lead[0] == "{" else newline + "}"
+    else:
+        yield _text(obj, newline)
+
+
+def _text(obj: object, newline: str) -> str:
+    """``_render``'s chunks of ``obj`` joined."""
+    if isinstance(obj, (dict, _Picks)):
+        return "".join(_render(obj, newline))
     if isinstance(obj, (list, tuple)):
-        # a list of names is joined in one C-level pass
-        if all(map(isinstance, obj, repeat(str))):
-            return _array(list(map(_quote, obj)), newline)
-        return _array([_render(item, inner) for item in obj], newline)
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        # one string, not ``_array``'s chunks, as documents hold many short
+        # lists; a list of names is joined in one C-level pass
+        items = (map(_quote, obj) if all(map(isinstance, obj, repeat(str)))
+                 else [_text(item, inner) for item in obj])
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, str):
         return _quote(obj)
     return json.dumps(obj)
 
 
-def _array(items: list[str], newline: str) -> str:
-    """The JSON array of rendered ``items`` at ``newline``'s indentation."""
-    if not items:
-        return "[]"
+def _array(items: Iterable[str], newline: str, before: str = "", after: str = "") -> Iterator[str]:
+    """The JSON array of rendered ``items`` at ``newline``'s indentation, each
+    written between ``before`` and ``after``: one chunk per ``CHUNK_ROWS`` items."""
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+    lead, sep = "[" + inner + before, after + "," + inner + before
+    items = iter(items)
+    while batch := list(islice(items, CHUNK_ROWS)):
+        batch[0] = lead + batch[0]
+        batch[-1] += after
+        yield sep.join(batch)
+        lead = "," + inner + before
+    yield "[]" if lead[0] == "[" else newline + "]"  # "[]" when no item came
 
 
 # --------------------------------------------------------------------------
@@ -186,15 +241,20 @@ def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
     if args.json:
         quoted = tuple(map(_quote, pres.names))
         return {"count": len(lat), "subcategories": _Picks(quoted, lat.elements)}, EXIT_OK
-    return lat.labels(), EXIT_OK
+    # ``Presentation.labels``, each label joined as its slice is written
+    return _lines(map("{{{}}}".format, joins(pres.names, lat.elements, ","))), EXIT_OK
 
 
 def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
+    # where counting costs far less than listing, the guard runs before the enumeration
+    size = count_thick_by_blocks(pres)
+    if size is not None:
+        check_size(size, args.max_size)
     lat = enumerate_thick(pres)
     # the size guard runs before any cover is found, so a run that exits 2
     # writes nothing; the file draws the report's covers, not new ones
     if args.dot == "-":
-        return export_dot(lat, covering_pairs(lat, args.max_size)), EXIT_OK
+        return (export_dot(lat, covering_pairs(lat, args.max_size)),), EXIT_OK
     report = analyze(lat, max_size=args.max_size)
     if args.dot is not None:
         try:
@@ -220,7 +280,7 @@ def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
         if w is not None:
             lines.append(f"{law} witness: "
                          + " ".join(f"{k}={pres.label(getattr(w, k))}" for k in sides))
-    return lines, EXIT_OK
+    return _lines(lines), EXIT_OK
 
 
 def _cmd_space(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -238,12 +298,13 @@ def _support_doc(sp: SupportSpace) -> dict:
             "sup": {name: _Picks(labels, s) for name, s in zip(names, sp.sigma)}}
 
 
-def _support_lines(sp: SupportSpace, heading: str, sup_name: str) -> list[str]:
-    """The point count, the points, then each indecomposable's support."""
+def _support_lines(sp: SupportSpace, heading: str, sup_name: str) -> Iterator[str]:
+    """The point count and the points in chunks of lines, then each
+    indecomposable's support, a chunk per line."""
     points = sp.space.points
-    return [f"{heading}: {len(points)}", *points,
-            *(f"{sup_name}({name}): " + (", ".join(pick(points, s)) or "(empty)")
-              for name, s in zip(sp.lattice.presentation.names, sp.sigma))]
+    yield from _lines(chain((f"{heading}: {len(points)}",), points))
+    for name, s in zip(sp.lattice.presentation.names, sp.sigma):
+        yield f"{sup_name}({name}): " + (", ".join(pick(points, s)) or "(empty)") + "\n"
 
 
 def _cmd_check(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -253,7 +314,7 @@ def _cmd_check(pres: Presentation, args: argparse.Namespace) -> Output:
     if args.json:
         return _datum_report_doc(report, datum, pres), status
     lines = _datum_report_lines(report, datum, pres)
-    return [*lines, f"verdict: {'valid' if report.valid else 'invalid'}"], status
+    return _lines([*lines, f"verdict: {'valid' if report.valid else 'invalid'}"]), status
 
 
 def _datum_report_doc(report: DatumReport, datum, pres: Presentation) -> dict:
@@ -302,8 +363,8 @@ def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
     if not check_support_datum(datum, pres).valid:
         if args.json:
             return {"datum_valid": False, "valid": False}, EXIT_INVALID
-        return ["datum: invalid (run `thicklat check` for details)",
-                "verdict: invalid"], EXIT_INVALID
+        return _lines(["datum: invalid (run `thicklat check` for details)",
+                       "verdict: invalid"]), EXIT_INVALID
     if args.morphism:
         sp = build_sp(enumerate_thick(pres))
         morphism = morphism_from_document(_load_json(args.morphism), datum, sp)
@@ -326,7 +387,7 @@ def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
         lines += [f"pullback: failed at {report.pullback_failure}", "continuity: skipped"]
     else:
         lines += ["pullback: ok", "continuity: ok"]
-    return [*lines, f"verdict: {'valid' if report.ok else 'invalid'}"], status
+    return _lines([*lines, f"verdict: {'valid' if report.ok else 'invalid'}"]), status
 
 
 def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -343,11 +404,11 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
             "product_violations": [],
             "valid": valid,
         }, status
-    return [*_support_lines(spectrum, "primes", "supp"),
-            *_datum_report_lines(PRIME_SUPPORT_AXIOMS, spectrum, pres),
-            "unit: satisfied" if valid else "unit: violated (its support misses a prime)",
-            "products: satisfied",
-            f"verdict: {'valid' if valid else 'invalid'}"], status
+    return chain(_support_lines(spectrum, "primes", "supp"), _lines([
+        *_datum_report_lines(PRIME_SUPPORT_AXIOMS, spectrum, pres),
+        "unit: satisfied" if valid else "unit: violated (its support misses a prime)",
+        "products: satisfied",
+        f"verdict: {'valid' if valid else 'invalid'}"])), status
 
 
 def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -359,7 +420,8 @@ def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
            "iota_fixes_primes": True, "injective": True}
     if args.json:
         return doc, EXIT_OK
-    return [f"{key.replace('_', ' ')}: {json.dumps(value)}" for key, value in doc.items()], EXIT_OK
+    return _lines(f"{key.replace('_', ' ')}: {json.dumps(value)}"
+                  for key, value in doc.items()), EXIT_OK
 
 
 def _cmd_generate(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -392,23 +454,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         out, status = args.run(_load_presentation(args), args)
-        if isinstance(out, dict):
-            out = _json_text(out)
-        elif not isinstance(out, str):
-            out = "\n".join(out) + "\n"
+        chunks = _json_chunks(out) if isinstance(out, dict) else out
+        # bytes where possible, so line endings stay LF on every platform; a
+        # MemoryError while a chunk is rendered leaves the chunks before it written
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.writelines(chunks)
+        else:
+            buffer.writelines(map(str.encode, chunks))
+            buffer.flush()
     except ThickLatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_ERROR
-    # write bytes when possible so line endings stay LF on every platform
-    buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is None:
-        sys.stdout.write(out)
-        return status
-    data = out.encode("utf-8")
-    del out  # a multi-MB text is not held beside its bytes while they are written
-    buffer.write(data)
-    buffer.flush()
     return status

@@ -278,6 +278,15 @@ def count_thick(pres: Presentation) -> int:
     return prod(sum(1 for _ in _fcbo(block, close)) for block in pres.blocks)
 
 
+def count_thick_by_blocks(pres: Presentation) -> int | None:
+    """``count_thick`` where it walks far fewer sets than ``enumerate_thick``
+    lists: past the table bound, on two or more blocks. None elsewhere, where
+    the count costs about what the listing does."""
+    if _fits_table(pres) or len(pres.blocks) < 2:
+        return None
+    return count_thick(pres)
+
+
 def enumerate_thick(pres: Presentation) -> ThickLattice:
     """All thick subsets, canonically ordered."""
     if _fits_table(pres):

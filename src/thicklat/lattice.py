@@ -155,6 +155,12 @@ def _first_modular_witness(elems, jn) -> LawWitness | None:
     return None
 
 
+def check_size(size: int, max_size: int) -> None:
+    """Raise ``TooLarge`` for a lattice of more than ``max_size`` elements."""
+    if size > max_size:
+        raise TooLarge(f"lattice has {size} elements, guard is {max_size}")
+
+
 def _upper_covers(lattice: ThickLattice,
                   max_size: int) -> tuple[list[list[int]], list[int]]:
     """Positions of each element's upper covers, ascending, and per element
@@ -174,8 +180,7 @@ def _upper_covers(lattice: ThickLattice,
     above it plus a missing i of a & b would be a larger one.
     """
     elems = lattice.elements
-    if len(elems) > max_size:
-        raise TooLarge(f"lattice has {len(elems)} elements, guard is {max_size}")
+    check_size(len(elems), max_size)
     pres = lattice.presentation
     full = (1 << len(elems)) - 1
     holding = [full ^ m for m in omitted(elems, pres.size)]

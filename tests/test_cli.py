@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import random
+import sys
+import tracemalloc
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,8 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import random_presentation, random_tensor_presentation
 from run_cases import GOLDEN, ROOT, load_cases, mismatch
 from thicklat import lattice
-from thicklat.bitsets import pick
-from thicklat.cli import _json_text, _load_presentation, _parser, _Picks, _render, main
+from thicklat.bitsets import joins, pick
+from thicklat.cli import CHUNK_ROWS, _json_text, _load_presentation, _parser, _Picks, main
 from thicklat.closure import enumerate_thick
 from thicklat.errors import SchemaError, ValidationError
 from thicklat.presentation import (
@@ -76,6 +79,38 @@ def test_lattice_dot_stdout_waits_for_the_guard(capsys):
             2, "", message)
     code, out, _ = run(capsys, "lattice", "--builtin", "a2", "--dot", "-", "--max-size", "5")
     assert (code, out) == (0, (GOLDEN / "lattice-a2.dot").read_text(encoding="utf-8"))
+
+
+def test_lattice_guard_runs_before_the_enumeration_where_the_count_is_free(
+        capsys, monkeypatch, tmp_path):
+    # product:22 is past the truth table, in 22 blocks: its 2^22 thick subsets
+    # are counted from each block's count, and none of them is listed
+    def unlisted(pres):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr("thicklat.cli.enumerate_thick", unlisted)
+    target = tmp_path / "p.gv"
+    for dot in ([], ["--dot", "-"], ["--dot", str(target)]):
+        assert run(capsys, "lattice", "--builtin", "product:22", *dot) == (
+            2, "", "error: lattice has 4194304 elements, guard is 10000\n")
+    assert not target.exists()
+
+
+def test_lattice_counts_first_only_past_the_table_on_several_blocks(capsys, monkeypatch):
+    blocks = ["--input", str(GOLDEN / "blocks.presentation.json")]
+    golden = (GOLDEN / "lattice-blocks.json").read_text(encoding="utf-8")
+    size = json.loads(golden)["size"]
+    # within the table bound, or on one block, the count would cost a listing
+    monkeypatch.setattr("thicklat.closure.count_thick", None)
+    assert run(capsys, "lattice", *blocks, "--json")[:2] == (0, golden)
+    assert run(capsys, "lattice", "--builtin", "an:6", "--json")[0] == 0
+    monkeypatch.undo()
+    # past it the blocks are counted first, and the guard holds at the same size
+    monkeypatch.setattr("thicklat.closure.TABLE_BOUND", 0)
+    assert run(capsys, "lattice", *blocks, "--json", "--max-size", str(size))[:2] == (0, golden)
+    monkeypatch.setattr("thicklat.cli.enumerate_thick", None)
+    assert run(capsys, "lattice", *blocks, "--max-size", str(size - 1)) == (
+        2, "", f"error: lattice has {size} elements, guard is {size - 1}\n")
 
 
 def test_lattice_dot_file_that_cannot_be_written_exits_2(capsys, tmp_path):
@@ -596,12 +631,70 @@ def test_memory_error_while_computing_exits_2(capsys, monkeypatch):
 
 
 def test_memory_error_while_rendering_exits_2(capsys, monkeypatch):
-    def exhausted(doc):
+    # the renderer fails before its first chunk, so nothing is written
+    def exhausted(obj, newline):
         raise MemoryError
+        yield
 
-    monkeypatch.setattr("thicklat.cli._json_text", exhausted)
+    monkeypatch.setattr("thicklat.cli._render", exhausted)
     assert run(capsys, "enumerate", "--builtin", "a2", "--json") == (
         2, "", "error: out of memory\n")
+
+
+def test_memory_error_mid_stream_leaves_the_chunks_before_it(capsysbinary, monkeypatch):
+    argv = ["enumerate", "--builtin", "an:7", "--json"]
+    assert main(argv) == 0
+    whole = capsysbinary.readouterr().out
+
+    def exhausted_after_one_chunk(*args):
+        yield from islice(joins(*args), CHUNK_ROWS)
+        raise MemoryError
+
+    monkeypatch.setattr("thicklat.cli.joins", exhausted_after_one_chunk)
+    assert main(argv) == 2
+    out, err = capsysbinary.readouterr()
+    assert err == b"error: out of memory\n"
+    # what was written is the whole output's start, up to the first chunk's last row
+    assert whole.startswith(out) and len(out) < len(whole)
+    assert out.count(b"\n    [") == CHUNK_ROWS and out.endswith(b"\n    ]")
+
+
+class _Sink:
+    """A stdout that drops every byte written to it."""
+
+    def __init__(self):
+        self.buffer = self
+
+    def write(self, data):
+        return len(data)
+
+    def writelines(self, chunks):
+        for _ in chunks:
+            pass
+
+    def flush(self):
+        pass
+
+
+# Memory gate: the 3.03 MB document is written in chunks, never held whole.
+# Under tracemalloc the whole run, enumeration included, peaked at 1.97 MB
+# (Python 3.11); the bound leaves a margin of 78% for other versions and
+# allocators. Building the text whole, then its bytes, peaked at 8.65 MB.
+SPARSE104_PEAK_BOUND = 3_500_000
+
+
+def test_enumerate_json_is_written_in_bounded_memory(monkeypatch):
+    argv = ["enumerate", "--input", str(ROOT / "tests/golden/sparse104.presentation.json"),
+            "--json"]
+    _parser()  # built once per process, so not counted here
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SPARSE104_PEAK_BOUND
 
 
 # The renderer against json.dumps, the oracle: any JSON value, with text
@@ -660,27 +753,38 @@ def test_render_equals_json_dumps(doc, picked):
     assert _json_text(doc) == _dumps(doc)
     # a _Picks leaf, nested 0-2 deep, renders as the lists it stands for
     leafy, plain = picked
-    assert _render(leafy, "\n") + "\n" == _dumps(plain)
+    assert _json_text(leafy) == _dumps(plain)
 
 
 ROW_MASKS = st.lists(st.integers(min_value=0, max_value=(1 << 14) - 1), min_size=1, max_size=4)
 
 
+# row counts past the 256 from which bitsets.joins looks rows up in tables of
+# quoted names, and on either side of the renderer's chunk boundaries
+ROW_COUNTS = st.sampled_from([257, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+# rows made empty: the first, and those on either side of the first boundary
+EMPTY_ROWS = st.sets(st.sampled_from([0, CHUNK_ROWS - 1, CHUNK_ROWS]))
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(names=st.lists(RENDER_TEXT, max_size=5) | st.lists(RENDER_TEXT, min_size=9, max_size=12),
-       rows=ROW_MASKS | ROW_MASKS.map(tuple), depth=st.integers(min_value=0, max_value=2))
-def test_render_equals_json_dumps_past_the_table_threshold(names, rows, depth):
-    # rows tiled past the 256 from which bitsets.joins looks them up in tables
-    # of quoted names, one table per chunk of at most 8 names; masks may be 0
-    # or have bits past the names
-    rows *= 256 // len(rows) + 1
+       rows=ROW_MASKS | ROW_MASKS.map(tuple), count=ROW_COUNTS, empty=EMPTY_ROWS,
+       depth=st.integers(min_value=0, max_value=2))
+def test_render_equals_json_dumps_past_the_table_threshold(names, rows, count, empty, depth):
+    # rows tiled to ``count``, looked up in tables of quoted names, one table
+    # per chunk of at most 8 names; masks may be 0 or have bits past the names
+    tiled = [0 if i in empty else mask for i, mask in enumerate(islice(cycle(rows), count))]
+    rows = type(rows)(tiled)
     leafy = _Picks([json.dumps(name) for name in names], rows)
     plain = [pick(names, mask) for mask in rows]
+    # a list of names as long, written in chunks from one mask per name
+    many = names * (count // max(len(names), 1))
+    assert _json_text(_Picks([json.dumps(n) for n in many], (1 << len(many)) - 1)) == _dumps(many)
     for _ in range(depth):
         leafy, plain = {"k": leafy}, {"k": plain}
     # compared line by line, so that a failing example is reported without a
     # diff of the whole text, which would make shrinking take minutes
-    assert (_render(leafy, "\n") + "\n").split("\n") == _dumps(plain).split("\n")
+    assert _json_text(leafy).split("\n") == _dumps(plain).split("\n")
 
 
 def _enumerate_doc(pres, args):
