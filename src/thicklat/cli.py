@@ -10,14 +10,15 @@ chunks. A handler does all of its work and every check before it returns,
 so an error exits 2 with nothing written, and renders lazily: ``main``
 writes each chunk as it is rendered, and holds a slice of ``CHUNK_ROWS``
 rows or lines, or one long line, never the whole output. A ``MemoryError``
-while it writes exits 2 after the chunks before it.
+or a failed write exits 2 after the chunks before it.
 
 A line that states a theorem (a spectrum's base axioms and products, the
 universal morphism's pullbacks, what ``compare`` says of the inclusion) is
 printed from a constant and proved in the tests.
 
-JSON documents are rendered by ``_render`` on every Python, to the bytes
-of ``json.dumps(doc, indent=2, sort_keys=True)``, the tests' oracle. It
+One function, ``_render``, writes every JSON document, on every Python, to
+the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, the tests'
+oracle: a chunk per dict member and per ``CHUNK_ROWS`` items of a list. It
 also writes ``_Picks``: the names of many subsets, joined from names quoted
 once per document. ``json.dumps`` cannot write those; before Python 3.13 it
 indents in pure Python, and from 3.13 on it is no faster than ``_render``.
@@ -26,8 +27,10 @@ indents in pure Python, and from 3.13 on it is no faster than ``_render``.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
@@ -136,10 +139,6 @@ def _json_chunks(doc: object) -> Iterator[str]:
     return chain(_render(doc, "\n"), ("\n",))
 
 
-def _json_text(doc: object) -> str:
-    return "".join(_json_chunks(doc))
-
-
 def _lines(lines: Iterable[str]) -> Iterator[str]:
     """The lines, each ended by a newline, as one chunk per ``CHUNK_ROWS`` lines."""
     lines = iter(lines)
@@ -158,20 +157,12 @@ class _Picks:
     def __init__(self, quoted: Sequence[str], masks: int | Sequence[int]) -> None:
         self.quoted, self.masks = quoted, masks
 
-    def __len__(self) -> int:
-        """The length of the list it stands for."""
-        if isinstance(self.masks, int):
-            return (self.masks & (1 << len(self.quoted)) - 1).bit_count()
-        return len(self.masks)
-
 
 def _render(obj: object, newline: str) -> Iterator[str]:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an ``obj`` at the
     indentation that ``newline`` (a newline and spaces) starts, with each
-    ``_Picks`` written as the lists of strings it stands for: one chunk per
-    member of a dict and per slice of ``CHUNK_ROWS`` items of a ``_Picks``
-    member longer than that. A list is one chunk, so the documents hold
-    their long lists in ``_Picks`` reached through dicts."""
+    ``_Picks`` written as the lists of strings it stands for: a chunk per
+    dict key and per ``CHUNK_ROWS`` items of a list, an item's chunks joined."""
     if isinstance(obj, _Picks) and isinstance(obj.masks, int):
         yield from _array(pick(obj.quoted, obj.masks), newline)
     elif isinstance(obj, _Picks):
@@ -188,34 +179,19 @@ def _render(obj: object, newline: str) -> Iterator[str]:
         inner = newline + "  "
         lead = "{" + inner
         for k in sorted(obj):
-            value = obj[k]
-            if isinstance(value, dict) or isinstance(value, _Picks) and len(value) > CHUNK_ROWS:
-                yield lead + _quote(k) + ": "
-                yield from _render(value, inner)
-            else:
-                yield lead + _quote(k) + ": " + _text(value, inner)
+            yield lead + _quote(k) + ": "
+            yield from _render(obj[k], inner)
             lead = "," + inner
         yield "{}" if lead[0] == "{" else newline + "}"
-    else:
-        yield _text(obj, newline)
-
-
-def _text(obj: object, newline: str) -> str:
-    """``_render``'s chunks of ``obj`` joined."""
-    if isinstance(obj, (dict, _Picks)):
-        return "".join(_render(obj, newline))
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    elif isinstance(obj, (list, tuple)):
         inner = newline + "  "
-        # one string, not ``_array``'s chunks, as documents hold many short
-        # lists; a list of names is joined in one C-level pass
-        items = (map(_quote, obj) if all(map(isinstance, obj, repeat(str)))
-                 else [_text(item, inner) for item in obj])
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, str):
-        return _quote(obj)
-    return json.dumps(obj)
+        # a list of names is quoted in one C-level pass
+        yield from _array(map(_quote, obj) if all(map(isinstance, obj, repeat(str)))
+                          else ("".join(_render(item, inner)) for item in obj), newline)
+    elif isinstance(obj, str):
+        yield _quote(obj)
+    else:
+        yield json.dumps(obj)
 
 
 def _array(items: Iterable[str], newline: str, before: str = "", after: str = "") -> Iterator[str]:
@@ -397,7 +373,7 @@ def _cmd_spectrum(pres: Presentation, args: argparse.Namespace) -> Output:
     status = EXIT_OK if valid else EXIT_INVALID
     if args.json:
         return {
-            "primes": _Picks(tuple(map(_quote, pres.names)), spectrum.primes),
+            "primes": _Picks(tuple(map(_quote, pres.names)), spectrum.lattice.elements),
             "supp": _support_doc(spectrum)["sup"],
             "support_axioms": _datum_report_doc(PRIME_SUPPORT_AXIOMS, spectrum, pres),
             "unit_full": valid,
@@ -415,7 +391,7 @@ def _cmd_compare(pres: Presentation, args: argparse.Namespace) -> Output:
     spectrum = primes(pres)  # raises NoTensor before the enumeration
     # the comparison map is the inclusion of the primes, so "fixes primes"
     # and "injective" are theorems, not checks, and its size is theirs
-    doc = {"spectrum_points": len(spectrum.primes),
+    doc = {"spectrum_points": len(spectrum.lattice),
            "universal_points": count_thick(pres),
            "iota_fixes_primes": True, "injective": True}
     if args.json:
@@ -455,6 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out, status = args.run(_load_presentation(args), args)
         chunks = _json_chunks(out) if isinstance(out, dict) else out
+        if sys.stdout is None:  # started with no file descriptor 1
+            raise OSError(errno.EBADF, "stdout is closed")
         # bytes where possible, so line endings stay LF on every platform; a
         # MemoryError while a chunk is rendered leaves the chunks before it written
         buffer = getattr(sys.stdout, "buffer", None)
@@ -468,5 +446,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
+        return EXIT_ERROR
+    except OSError as exc:  # handlers wrap their own file errors: only a write gets here
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        if sys.stdout is not None:  # so the flush at exit writes to nowhere, not fails
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
     return status

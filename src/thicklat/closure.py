@@ -23,10 +23,10 @@ that addition.
 The thick subsets of a presentation whose elements fall into several
 blocks, with no triangle between two of them, are the unions of one thick
 subset per block, as the thick subcategories of a product are the products
-of the factors'. So past the table bound below, ``iter_thick`` runs FCbO
-on each block alone and streams the unions, paying a closure per set of a
-block, not per set of the product. Ideals keep one walk over all elements
-(see ``tensor``).
+of the factors'. So past the table bound below, ``enumerate_thick`` runs
+FCbO on each block alone (``_walk_blocks``) and streams the unions, paying
+a closure per set of a block, not per set of the product. Ideals keep one
+walk over all elements (see ``tensor``).
 
 A small presentation is enumerated with no closure at all. Thickness is one
 Boolean function on the 2^n subsets, and Python's ints compute it as a
@@ -242,25 +242,10 @@ def _table_sets(n: int, closed: int) -> list[int]:
     return found
 
 
-def iter_thick(pres: Presentation) -> Iterator[int]:
-    """All thick subsets, each once, in no canonical order.
-
-    Within the table bound they are read off the truth table at once, with
-    no closure. Past it, FCbO enumerates each of the presentation's
-    ``blocks``, which no triangle links, and the unions of one thick subset
-    per block are streamed from ``itertools.product`` with no closure per
-    set. This holds only the blocks' parts, the sum of their sizes where
-    the result is their product, never the whole product. A presentation
-    of one block is then walked lazily, in ``iter_closed``'s order and with
-    its calls.
-    """
-    if _fits_table(pres):
-        return iter(_table_sets(pres.size, _closed_table(pres)))
-    return _walk_blocks(pres)
-
-
 def _walk_blocks(pres: Presentation) -> Iterator[int]:
-    """``iter_thick`` past the table bound: FCbO per block."""
+    """All thick subsets, each once, unsorted: FCbO on each block, and the
+    unions of one set per block streamed from ``itertools.product``, holding
+    only the parts. One block is walked lazily, as ``iter_closed`` walks it."""
     close = partial(thick_closure, pres)
     blocks = pres.blocks
     if len(blocks) < 2:
@@ -288,9 +273,11 @@ def count_thick_by_blocks(pres: Presentation) -> int | None:
 
 
 def enumerate_thick(pres: Presentation) -> ThickLattice:
-    """All thick subsets, canonically ordered."""
+    """All thick subsets, canonically ordered, from the table or the blocks."""
     if _fits_table(pres):
+        found = _table_sets(pres.size, _closed_table(pres))
         # member-sequence order within each size: a stable sort by size finishes it
-        return ThickLattice(pres, tuple(sorted(iter_thick(pres), key=int.bit_count)))
+        found.sort(key=int.bit_count)
+        return ThickLattice(pres, tuple(found))
     # collected first, so that the blocks' parts are freed before the sort
-    return ThickLattice(pres, canonical_sorted(tuple(iter_thick(pres))))
+    return ThickLattice(pres, canonical_sorted(tuple(_walk_blocks(pres))))

@@ -49,7 +49,7 @@ def enumerate_ideals(pres: Presentation) -> ThickLattice:
     """All absorption-closed thick subsets, canonical order."""
     _tensor(pres)
     # one FCbO over all elements, not one per triangle block as in
-    # ``iter_thick``: absorption masks link elements across those blocks
+    # ``closure._walk_blocks``: absorption masks link elements across those blocks
     found = iter_closed(pres.size, partial(ideal_closure, pres))
     return ThickLattice(pres, canonical_sorted(found))
 

@@ -8,7 +8,9 @@ Each case is one command line: its argv (paths relative to the repository
 root, which is the working directory of every run), its exit status, its
 stdout, either the golden file of the case's name or the ``[bytes, sha256]``
 of an output too large to check in, optionally the ``.err`` golden of its
-stderr, and optionally a ``why``. The script exits 1 at the first case that
+stderr, and optionally a ``why``. Without an ``.err`` golden, a case that
+exits 0 or 1 writes nothing to stderr, and one that exits 2 writes one line
+that starts ``error: ``. The script exits 1 at the first case that
 differs, naming it, and 0 once every case matches. ``tests/test_golden.py``
 runs the same list in-process through ``mismatch``.
 """
@@ -44,8 +46,14 @@ def mismatch(case: dict, status: int, stdout: bytes, stderr: bytes) -> str | Non
             return f"stdout is {got}, expected {case['stdout']}"
     elif stdout != (GOLDEN / case["name"]).read_bytes():
         return f"stdout differs from tests/golden/{case['name']}"
-    if "stderr" in case and stderr != (GOLDEN / case["stderr"]).read_bytes():
-        return f"stderr differs from tests/golden/{case['stderr']}"
+    if "stderr" in case:
+        if stderr != (GOLDEN / case["stderr"]).read_bytes():
+            return f"stderr differs from tests/golden/{case['stderr']}"
+    elif status == 2:
+        if not stderr.startswith(b"error: ") or stderr.find(b"\n") != len(stderr) - 1:
+            return f"stderr is {stderr!r}, expected one line starting 'error: '"
+    elif stderr:
+        return f"stderr is {stderr!r}, expected none"
     return None
 
 

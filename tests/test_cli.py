@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 import tracemalloc
 from itertools import cycle, islice
@@ -13,7 +16,7 @@ from conftest import random_presentation, random_tensor_presentation
 from run_cases import GOLDEN, ROOT, load_cases, mismatch
 from thicklat import lattice
 from thicklat.bitsets import joins, pick
-from thicklat.cli import CHUNK_ROWS, _json_text, _load_presentation, _parser, _Picks, main
+from thicklat.cli import CHUNK_ROWS, _json_chunks, _load_presentation, _parser, _Picks, main
 from thicklat.closure import enumerate_thick
 from thicklat.errors import SchemaError, ValidationError
 from thicklat.presentation import (
@@ -676,6 +679,56 @@ class _Sink:
         pass
 
 
+def test_broken_pipe_mid_stream_exits_2_with_one_error_line(tmp_path):
+    # the reader goes away after the first chunk: one error line, exit 2, and
+    # the stream's descriptor pointed at the null device for the flush at exit
+    written = []
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedAfterOneChunk:
+        def __init__(self):
+            self.buffer = self
+
+        def fileno(self):
+            return fd
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                if written:
+                    raise BrokenPipeError(32, "Broken pipe")
+                written.append(chunk)
+
+        def flush(self):
+            pass
+
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(ClosedAfterOneChunk()), contextlib.redirect_stderr(err):
+            assert main(["enumerate", "--builtin", "an:7"]) == 2
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert len(written) == 1
+    assert err.getvalue() == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_pipe_closed_after_one_byte_exits_2_with_one_error_line():
+    # an:7's 155,617 bytes overfill the pipe, so the write fails; Python's
+    # flush at exit must not add an "Exception ignored" report
+    # run the package this module imported
+    package_root = os.path.dirname(os.path.dirname(lattice.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    with subprocess.Popen([sys.executable, "-m", "thicklat", "enumerate", "--builtin", "an:7"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=20) == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # Memory gate: the 3.03 MB document is written in chunks, never held whole.
 # Under tracemalloc the whole run, enumeration included, peaked at 1.97 MB
 # (Python 3.11); the bound leaves a margin of 78% for other versions and
@@ -750,10 +803,10 @@ PICKED_DOCS = _picks() | _nested(_picks()) | _nested(_nested(_picks()))
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=RENDER_DOCS, picked=PICKED_DOCS)
 def test_render_equals_json_dumps(doc, picked):
-    assert _json_text(doc) == _dumps(doc)
+    assert "".join(_json_chunks(doc)) == _dumps(doc)
     # a _Picks leaf, nested 0-2 deep, renders as the lists it stands for
     leafy, plain = picked
-    assert _json_text(leafy) == _dumps(plain)
+    assert "".join(_json_chunks(leafy)) == _dumps(plain)
 
 
 ROW_MASKS = st.lists(st.integers(min_value=0, max_value=(1 << 14) - 1), min_size=1, max_size=4)
@@ -779,12 +832,24 @@ def test_render_equals_json_dumps_past_the_table_threshold(names, rows, count, e
     plain = [pick(names, mask) for mask in rows]
     # a list of names as long, written in chunks from one mask per name
     many = names * (count // max(len(names), 1))
-    assert _json_text(_Picks([json.dumps(n) for n in many], (1 << len(many)) - 1)) == _dumps(many)
+    picked = _Picks([json.dumps(n) for n in many], (1 << len(many)) - 1)
+    assert "".join(_json_chunks(picked)) == _dumps(many)
     for _ in range(depth):
         leafy, plain = {"k": leafy}, {"k": plain}
     # compared line by line, so that a failing example is reported without a
     # diff of the whole text, which would make shrinking take minutes
-    assert _json_text(leafy).split("\n") == _dumps(plain).split("\n")
+    assert "".join(_json_chunks(leafy)).split("\n") == _dumps(plain).split("\n")
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+@pytest.mark.parametrize("item", ["s", {"a": [1, "b"], "c": {}}], ids=["strings", "dicts"])
+def test_long_plain_lists_are_written_in_chunks(count, item):
+    # a plain list, as a _Picks is, is written CHUNK_ROWS items at a time
+    doc = {"list": [f"s{i}" if item == "s" else item for i in range(count)], "z": []}
+    chunks = list(_json_chunks(doc))
+    assert "".join(chunks) == _dumps(doc)
+    # an item's first line is indented as the list's items are, by four spaces
+    assert max(len(re.findall(r"\n    [^ \]}]", chunk)) for chunk in chunks) <= CHUNK_ROWS
 
 
 def _enumerate_doc(pres, args):

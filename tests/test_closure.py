@@ -26,7 +26,7 @@ from conftest import (
 )
 from thicklat import closure
 from thicklat.bitsets import canonical_key, canonical_sorted, mask_of
-from thicklat.closure import enumerate_thick, iter_closed, iter_thick, thick_closure
+from thicklat.closure import enumerate_thick, iter_closed, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.presentation import (
     Presentation, Triangle, builtin, make_expr, presentation_from_document)
@@ -289,7 +289,7 @@ def test_connected_presentation_is_walked_as_iter_closed(monkeypatch):
     pres = builtin("an", 6)
     assert len(pres.blocks) == 1 and not closure._fits_table(pres)
     calls = record_closures(monkeypatch)
-    sets = iter_thick(pres)
+    sets = closure._walk_blocks(pres)
     walked = [next(sets)]
     assert len(calls) == 1  # lazy: the bottom comes from the first closure
     walked += sets
@@ -359,10 +359,10 @@ def test_disjoint_unions_enumerate_as_sweep(seed):
     # read off the table, and walked block by block as past the table bound
     pres = random_union(seed)
     expected = closed_by_sweep(pres)
-    for found in (list(iter_thick(pres)), list(closure._walk_blocks(pres))):
-        assert len(found) == len(set(found)) == len(expected)
-        assert canonical_sorted(found) == expected
     assert enumerate_thick(pres).elements == expected
+    found = list(closure._walk_blocks(pres))
+    assert len(found) == len(set(found)) == len(expected)
+    assert canonical_sorted(found) == expected
 
 
 def test_disjoint_union_sweep_covers_each_kind():
@@ -389,7 +389,7 @@ def test_union_with_an7_multiplies_its_count(family, n, factor):
     # past brute force: an:7 has Bell(8) thick subsets, and a disjoint
     # summand multiplies that by its own count
     pres = disjoint_union(builtin("an", 7), builtin(family, n), seed=n or 0)
-    found = list(iter_thick(pres))
+    found = enumerate_thick(pres).elements
     assert len(found) == len(set(found)) == bell_numbers(8)[-1] * factor
     assert all(triangle_rule_closed(pres, s) for s in found)
 
