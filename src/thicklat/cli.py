@@ -217,8 +217,8 @@ def _cmd_enumerate(pres: Presentation, args: argparse.Namespace) -> Output:
     if args.json:
         quoted = tuple(map(_quote, pres.names))
         return {"count": len(lat), "subcategories": _Picks(quoted, lat.elements)}, EXIT_OK
-    # ``Presentation.labels``, each label joined as its slice is written
-    return _lines(map("{{{}}}".format, joins(pres.names, lat.elements, ","))), EXIT_OK
+    # each label is joined as its slice is written
+    return _lines(pres.labels(lat.elements)), EXIT_OK
 
 
 def _cmd_lattice(pres: Presentation, args: argparse.Namespace) -> Output:
@@ -334,16 +334,19 @@ def _datum_report_lines(report: DatumReport, datum, pres: Presentation) -> list[
 def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
     # as in ``universal_morphism``, a point goes to the objects whose support
     # avoids it, a thick subset once the triangles hold, so only a --morphism
-    # target (any point's label) needs the universal space
+    # target (any point's label) needs the universal space. Every input
+    # document is checked before the datum's verdict.
     datum = datum_from_document(_load_json(args.datum), pres)
+    if args.morphism:
+        doc = _load_json(args.morphism)
+        sp = build_sp(enumerate_thick(pres))
+        morphism = morphism_from_document(doc, datum, sp)
     if not check_support_datum(datum, pres).valid:
         if args.json:
             return {"datum_valid": False, "valid": False}, EXIT_INVALID
         return _lines(["datum: invalid (run `thicklat check` for details)",
                        "verdict: invalid"]), EXIT_INVALID
     if args.morphism:
-        sp = build_sp(enumerate_thick(pres))
-        morphism = morphism_from_document(_load_json(args.morphism), datum, sp)
         report = check_morphism(datum, sp, morphism)
         targets = [sp.space.points[t] for t in morphism.mapping]
     else:

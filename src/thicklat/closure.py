@@ -182,7 +182,7 @@ class ThickLattice:
         return {e: i for i, e in enumerate(self.elements)}
 
     def labels(self) -> tuple[str, ...]:
-        return self.presentation.labels(self.elements)
+        return tuple(self.presentation.labels(self.elements))
 
 
 def _fits_table(pres: Presentation) -> bool:

@@ -2,8 +2,11 @@
 
 A presentation names finitely many indecomposables (each standing for a
 whole shift orbit), lists distinguished triangles whose vertices are formal
-sums of indecomposables, and optionally carries a tensor table. Objects are
-multisets of indecomposables; the empty multiset is the zero object.
+sums of indecomposables, and optionally carries a tensor table. A triangle
+vertex is the one multiset kept (``ObjectExpr``), since ``check`` prints it
+with its repeats; the empty multiset is the zero object. A thick subset is
+closed under summands, so a product enters only through its components:
+the tensor table holds the component mask of each product and of the unit.
 
 Presentations built by :func:`parse_presentation` or :func:`builtin` are
 fully validated; direct construction trusts the caller.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
@@ -47,24 +50,21 @@ class Triangle:
 
 @dataclass(frozen=True)
 class TensorTable:
-    """Total multiplication table over ordered pairs of indecomposables.
+    """Total multiplication table over ordered pairs of indecomposables, as
+    component masks: ``unit`` holds the unit's components, and
+    ``table[x][y]`` those of x*y.
 
-    The unit may be decomposable. Symmetry of component supports is
-    validated where tables are built (parsing, builtins), never assumed.
+    The unit may be decomposable. Symmetry is validated where tables are
+    built (parsing, builtins), never assumed.
     """
 
-    unit: ObjectExpr
-    table: tuple[tuple[ObjectExpr, ...], ...]
-
-    @cached_property
-    def product_masks(self) -> tuple[tuple[int, ...], ...]:
-        """Component mask of x*y at ``[x][y]``."""
-        return tuple(tuple(map(mask_of, row)) for row in self.table)
+    unit: int
+    table: tuple[tuple[int, ...], ...]
 
     @cached_property
     def absorption_masks(self) -> tuple[int, ...]:
         """Per indecomposable x: union of component masks of g*x over all g."""
-        return tuple(reduce(or_, column, 0) for column in zip(*self.product_masks))
+        return tuple(reduce(or_, column, 0) for column in zip(*self.table))
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ class Presentation:
         """Brace-joined member names of a subset mask, in index order."""
         return "{" + ",".join(pick(self.names, mask)) + "}"
 
-    def labels(self, masks: Iterable[int]) -> tuple[str, ...]:
-        """``label`` of each mask, its names joined by ``joins``."""
-        return tuple(map("{{{}}}".format, joins(self.names, tuple(masks), ",")))
+    def labels(self, masks: Iterable[int]) -> Iterator[str]:
+        """``label`` of each mask, lazily, its names joined by ``joins``."""
+        return map("{{{}}}".format, joins(self.names, tuple(masks), ","))
 
     def expr_names(self, expr: ObjectExpr) -> list[str]:
         return [self.names[i] for i in expr]
@@ -169,7 +169,7 @@ def presentation_from_document(doc: object) -> Presentation:
     for pos, raw in enumerate(raw_triangles):
         if not isinstance(raw, list) or len(raw) != 3:
             raise SchemaError(f"triangle {pos}: expected three object expressions")
-        a, b, c = (_parse_expr(v, index, f"triangle {pos}") for v in raw)
+        a, b, c = (make_expr(_members(v, index, f"triangle {pos}")) for v in raw)
         triangles.append(Triangle(a, b, c))
     tensor = None
     if doc.get("tensor") is not None:
@@ -186,12 +186,10 @@ def presentation_to_document(pres: Presentation) -> dict:
         ],
     }
     if pres.tensor is not None:
-        table = {}
-        for x in range(pres.size):
-            for y in range(pres.size):
-                key = f"{pres.names[x]}{NAME_SEPARATOR}{pres.names[y]}"
-                table[key] = pres.expr_names(pres.tensor.table[x][y])
-        doc["tensor"] = {"unit": pres.expr_names(pres.tensor.unit), "table": table}
+        table = {f"{x}{NAME_SEPARATOR}{y}": pick(pres.names, cell)
+                 for x, row in zip(pres.names, pres.tensor.table)
+                 for y, cell in zip(pres.names, row)}
+        doc["tensor"] = {"unit": pick(pres.names, pres.tensor.unit), "table": table}
     return doc
 
 
@@ -341,30 +339,25 @@ def _members(raw: object, index: dict[str, int], where: str) -> list[int]:
         raise ValidationError(f"{where}: unknown name {exc.args[0]!r}") from None
 
 
-def _parse_expr(raw: object, index: dict[str, int], where: str) -> ObjectExpr:
-    return make_expr(_members(raw, index, where))
-
-
 def _parse_tensor(raw: object, names: tuple[str, ...], index: dict[str, int]) -> TensorTable:
     _require_keys(raw, {"unit", "table"}, {"unit", "table"}, "tensor")
-    unit = _parse_expr(raw["unit"], index, "tensor unit")
+    unit = mask_of(_members(raw["unit"], index, "tensor unit"))
     table = raw["table"]
     if isinstance(table, dict):
         for key in table:
             if not isinstance(key, str) or key.count(NAME_SEPARATOR) != 1:
                 raise SchemaError(f"tensor table key {key!r} must look like 'A{NAME_SEPARATOR}B'")
     pairs = [f"{x}{NAME_SEPARATOR}{y}" for x in names for y in names]
-    cells = [_parse_expr(value, index, f"tensor table {key!r}")
+    cells = [mask_of(_members(value, index, f"tensor table {key!r}"))
              for key, value in zip(pairs, _values(table, pairs, "tensor table"))]
     n = len(names)
-    tensor = TensorTable(unit, tuple(tuple(cells[x * n:x * n + n]) for x in range(n)))
-    masks = tensor.product_masks
+    rows = tuple(tuple(cells[x * n:x * n + n]) for x in range(n))
     for x in range(n):
         for y in range(x + 1, n):
-            if masks[x][y] != masks[y][x]:
+            if rows[x][y] != rows[y][x]:
                 raise ValidationError(
                     f"tensor table is not symmetric at ({names[x]}, {names[y]})")
-    return tensor
+    return TensorTable(unit, rows)
 
 
 # --------------------------------------------------------------------------
@@ -398,14 +391,12 @@ def builtin(family: str, n: int | None = None) -> Presentation:
         return Presentation(names, triangles)
     if family == "point":
         _no_parameter(family, n)
-        return Presentation(("k",), (), TensorTable((0,), (((0,),),)))
+        return Presentation(("k",), (), TensorTable(1, ((1,),)))
     if family == "product":
         size = _require_parameter(family, n)
         names = tuple(f"e{i + 1}" for i in range(size))
-        table = tuple(
-            tuple((x,) if x == y else () for y in range(size)) for x in range(size)
-        )
-        return Presentation(names, (), TensorTable(tuple(range(size)), table))
+        table = tuple((0,) * x + (1 << x,) + (0,) * (size - 1 - x) for x in range(size))
+        return Presentation(names, (), TensorTable((1 << size) - 1, table))
     raise UnknownFamily(f"unknown builtin family {family!r}")
 
 

@@ -2,13 +2,15 @@
 
 With a tensor table present, subsets can additionally be closed under
 absorption (multiplying by anything stays inside), one more rule per element
-in the closure engine's table. Proper absorption-closed subsets where a
-vanishing product forces a vanishing factor are the primes. They are found
-by a pruned in/out search over the indecomposables, not by enumerating every
-ideal: product:N has 2^N ideals and N primes, and its search makes 2N
-closures. The prime spectrum is the universal construction restricted to the
-primes, and the canonical comparison map into the universal space is the
-inclusion.
+in the closure engine's table. An ideal is closed under summands, so the
+table holds each product, and the unit, as the mask of its components;
+``ObjectExpr`` stays only in triangle vertices. Proper absorption-closed
+subsets where a vanishing product forces a vanishing factor are the primes.
+They are found by a pruned in/out search over the indecomposables, not by
+enumerating every ideal: product:N has 2^N ideals and N primes, and its
+search makes 2N closures. The prime spectrum is the universal construction
+restricted to the primes, and the canonical comparison map into the
+universal space is the inclusion.
 
 Of the support axioms only the unit can fail on a spectrum, since the unit
 law is never validated; the base axioms and the product rule are theorems
@@ -74,11 +76,11 @@ def primes(pres: Presentation) -> Spectrum:
     in-set goes in, in one closure. These are exact: a prime holding the
     in-set holds its closure, and holding x*y or x*u but not x, it holds y
     or u. Each leaf with a proper in-set is a distinct prime. Primality is
-    decided on pairs of indecomposables, with symmetric component supports
-    as parsing and builtins validate; membership is component-determined,
-    so the object-level condition follows.
+    decided on pairs of indecomposables, with a symmetric table as parsing
+    and builtins validate; membership is component-determined, so the
+    object-level condition follows.
     """
-    product_masks = _tensor(pres).product_masks
+    products = _tensor(pres).table
     indices = range(pres.size)
     full = pres.full_mask
     found = []
@@ -87,7 +89,7 @@ def primes(pres: Presentation) -> Spectrum:
         q, out = stack.pop()
         # the u for which some out element x has x*u inside q
         vanishing = mask_of(u for x in pick(indices, out) for u in indices
-                            if product_masks[x][u] & ~q == 0)
+                            if products[x][u] & ~q == 0)
         if vanishing & out:
             continue  # (b)
         add = vanishing & ~q  # (c)
@@ -112,10 +114,10 @@ def verify_tt_support(spectrum: SupportSpace) -> bool:
 
     On the output of ``primes`` the base axioms and the product rule need
     no check. If x lies in a prime q, absorption puts the components of y*x
-    into q, and with symmetric component supports those are the components
-    of x*y; if neither x nor y lies in q, primality keeps x*y out of q.
+    into q, and with a symmetric table those are the components of x*y; if
+    neither x nor y lies in q, primality keeps x*y out of q.
     """
-    unit = mask_of(_tensor(spectrum.lattice.presentation).unit)
+    unit = _tensor(spectrum.lattice.presentation).unit
     return all(unit & ~q for q in spectrum.lattice.elements)
 
 

@@ -32,6 +32,11 @@ def mask_by_loop(indices):
     return m
 
 
+def members_by_loop(mask):
+    """Oracle mask walk: the indices of the set bits, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def preimage(morphism, target_mask):
     """Oracle pullback: the source points whose target lies in the mask."""
     m = 0
@@ -98,23 +103,24 @@ def tt_violations(space):
     the support of x*y is not the intersection of theirs."""
     pres = space.lattice.presentation
     table = pres.tensor
-    unit_full = space.sigma_of(table.unit) == space.space.full_mask
+    unit_full = space.sigma_of(members_by_loop(table.unit)) == space.space.full_mask
     products = tuple(
         (x, y) for x in range(pres.size) for y in range(x, pres.size)
-        if space.sigma_of(table.table[x][y]) != space.sigma[x] & space.sigma[y])
+        if space.sigma_of(members_by_loop(table.table[x][y]))
+        != space.sigma[x] & space.sigma[y])
     return check_support_datum(space, pres), unit_full, products
 
 
 def primes_by_sweep(pres):
     """Oracle spectrum: every proper ideal, canonical order, that misses no
     factor of a pair x <= y whose product x*y it holds."""
-    product_masks = pres.tensor.product_masks
+    products = pres.tensor.table
     n = pres.size
 
     def is_prime(q):
         for x in range(n):
             for y in range(x, n):
-                if product_masks[x][y] & ~q == 0 and not (q >> x & 1 or q >> y & 1):
+                if products[x][y] & ~q == 0 and not (q >> x & 1 or q >> y & 1):
                     return False
         return True
 
@@ -180,16 +186,16 @@ def block_table(rng, n, blocks):
     """``random_tensor_presentation``'s table on ``n`` elements grouped into
     ``blocks`` of one or two: e*e = e; a*a = a, a*b = b*a = b and b*b is b
     or zero as ``rng`` draws; the unit sums every block's first object."""
-    table = [[() for _ in range(n)] for _ in range(n)]
+    table = [[0] * n for _ in range(n)]
     for block in blocks:
         a = block[0]
-        table[a][a] = (a,)
+        table[a][a] = 1 << a
         if len(block) == 2:
             b = block[1]
-            table[a][b] = table[b][a] = (b,)
-            table[b][b] = (b,) if rng.random() < 0.5 else ()
-    unit = make_expr(block[0] for block in blocks)
-    return TensorTable(unit, tuple(tuple(row) for row in table))
+            table[a][b] = table[b][a] = 1 << b
+            table[b][b] = 1 << b if rng.random() < 0.5 else 0
+    unit = mask_by_loop(block[0] for block in blocks)
+    return TensorTable(unit, tuple(map(tuple, table)))
 
 
 def wide_presentation(seed):
@@ -222,7 +228,7 @@ def fixpoint_closure(pres, ideal=False):
     in every component of g*x for each member x, until nothing changes."""
     # each triangle's vertices together, and each pair of them
     unions = [(ma | mb | mc, ma | mb, mb | mc, mc | ma) for ma, mb, mc in pres.triangle_masks]
-    absorbed = [mask_of(c for row in pres.tensor.table for c in row[x])
+    absorbed = [mask_by_loop(c for row in pres.tensor.table for c in members_by_loop(row[x]))
                 for x in range(pres.size)] if ideal else []
 
     def close(members):
@@ -294,7 +300,7 @@ def absorption_closed(pres, subset):
     for x in range(pres.size):
         if subset >> x & 1:
             for g in range(pres.size):
-                for c in table[g][x]:
+                for c in members_by_loop(table[g][x]):
                     if not subset >> c & 1:
                         return False
     return True

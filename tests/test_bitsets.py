@@ -183,9 +183,9 @@ def test_labels_match_label_on_random_presentations(seed):
     count = rng.choice([30, 300, 2_000])
     masks = [0, pres.full_mask, *(rng.getrandbits(pres.size) for _ in range(count))]
     masks += masks[:5]
-    assert pres.labels(masks) == tuple(map(pres.label, masks))
-    assert pres.labels(iter(masks)) == tuple(label_by_join(pres, m) for m in masks)
-    assert pres.labels([]) == ()
+    assert tuple(pres.labels(masks)) == tuple(map(pres.label, masks))
+    assert tuple(pres.labels(iter(masks))) == tuple(label_by_join(pres, m) for m in masks)
+    assert tuple(pres.labels([])) == ()
     assert [pres.label(m) for m in masks] == [label_by_join(pres, m) for m in masks]
 
 

@@ -521,6 +521,19 @@ def test_map_and_generate_check_inputs_before_enumerating(capsys, monkeypatch):
         assert run(capsys, "map", "--builtin", "an:4", "--datum", invalid, *flags)[0] == 1
 
 
+def test_map_checks_the_morphism_document_before_the_datum_verdict(capsys):
+    # an invalid datum ends in "verdict: invalid" only once --morphism names
+    # a document that reads as a morphism
+    invalid = str(GOLDEN / "an4-datum-invalid.json")
+    for morphism, error in (("/does/not/exist.json", "error: cannot read /does/not/exist.json"),
+                            (str(GOLDEN / "an4-morphism-bad-keys.json"),
+                             "error: morphism: unexpected keys ['nope']")):
+        code, out, err = run(capsys, "map", "--builtin", "an:4", "--datum", invalid,
+                             "--morphism", morphism)
+        assert (code, out) == (2, "")
+        assert err.startswith(error) and err.count("\n") == 1
+
+
 def _refuse(*args):
     raise RuntimeError("built the universal space")
 

@@ -55,6 +55,15 @@ ideal closure took absorption as a mask per element beside the triangle
 rules. Their input has idempotents e1, e2 and e3, two blocks a*b = b, and
 triangles across the blocks, one of them degenerate and forcing ``b2``: the
 only goldens whose ideal closures fire both triangle and absorption rules.
+``tensor-repeats.presentation.json`` is the same input with repeats in the
+cells a1*b1 and b1*a1 and in the unit. Cells and the unit are read as sets
+of components, so its ``spectrum`` and ``compare`` cases hold the digests of
+the ``tensor-triangles`` goldens.
+
+``an4-morphism-bad-keys.err`` is the error ``map`` writes for a morphism
+document with a key it does not allow, with the invalid datum: the morphism
+is checked before the datum's verdict. At commit 1c5e71b the same run
+exited 1 with ``verdict: invalid``.
 
 ``sparse104.presentation.json`` is ``bench/gen.py``'s
 ``sparse_presentation(104)``: 19 indecomposables and 13 triangles of 1-2

@@ -391,3 +391,49 @@ def test_analyze_and_covers_make_no_closure_calls(monkeypatch, family, n):
     analyze(lat)
     covering_pairs(lat)
     assert calls == 0
+
+
+def renamed(pres, seed):
+    """``pres`` with its indecomposables renumbered by a seeded permutation
+    and its triangles shuffled, and the permutation: element i becomes
+    ``perm[i]``, under the same name."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(pres.size), pres.size)
+    names = [None] * pres.size
+    for i, new in enumerate(perm):
+        names[new] = pres.names[i]
+    triangles = [Triangle(*(tuple(sorted(perm[i] for i in vertex)) for vertex in (t.a, t.b, t.c)))
+                 for t in pres.triangles]
+    rng.shuffle(triangles)
+    return Presentation(tuple(names), tuple(triangles)), perm
+
+
+def permuted(mask, perm):
+    """Oracle: the mask with bit i moved to bit ``perm[i]``, one bit at a time."""
+    out = 0
+    for i, new in enumerate(perm):
+        if mask >> i & 1:
+            out |= 1 << new
+    return out
+
+
+@pytest.mark.parametrize("pres,seed", [(builtin("an", 5), 0)]
+                         + [(random_presentation(seed, max_indecs=8), seed) for seed in range(50)],
+                         ids=["an5"] + [f"random{seed}" for seed in range(50)])
+def test_renaming_and_reordering_maps_the_report(pres, seed):
+    # a metamorphic relation: the lattice of the renamed presentation is the
+    # image of the original under the permutation, so every invariant of
+    # the report holds and each cover, as a pair of masks, maps to a cover
+    lat = enumerate_thick(pres)
+    image, perm = renamed(pres, seed)
+    moved = enumerate_thick(image)
+    got, want = analyze(moved), analyze(lat)
+    assert (got.size, got.height, len(got.atoms), got.is_distributive, got.is_modular) == (
+        want.size, want.height, len(want.atoms), want.is_distributive, want.is_modular)
+    assert sorted(got.atoms) == sorted(permuted(a, perm) for a in want.atoms)
+
+    def mask_covers(lattice, report):
+        return [(lattice.elements[lo], lattice.elements[hi]) for lo, hi in report.covers]
+
+    assert sorted(mask_covers(moved, got)) == sorted(
+        (permuted(lo, perm), permuted(hi, perm)) for lo, hi in mask_covers(lat, want))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import disjoint_union, random_presentation, random_tensor_presentation
+from run_cases import GOLDEN
 from thicklat.errors import (
     InvalidParameter,
     SchemaError,
@@ -108,8 +109,23 @@ def test_parse_tensor_symmetry_ignores_multiplicity():
         },
     }
     tensor = parse_presentation(json.dumps(doc)).tensor
-    assert tensor.table[0][1] == (0, 0)
-    assert tensor.product_masks == ((0b01, 0b01), (0b01, 0b10))
+    assert tensor.table == ((0b01, 0b01), (0b01, 0b10))
+
+
+def test_repeats_in_tensor_cells_and_unit_parse_to_the_same_presentation():
+    # cells and the unit are sets of components: a1*b1 written b1+b1 one way
+    # and b1+b1+b1 the other is b1 both ways, and the unit with two repeats,
+    # out of order, is the same unit
+    original = json.loads((GOLDEN / "tensor-triangles.presentation.json").read_text())
+    doc = json.loads(json.dumps(original))
+    doc["tensor"]["unit"] = ["a2", "e1", "a1", "e1", "e2", "a2", "e3"]
+    doc["tensor"]["table"]["a1|b1"] = ["b1", "b1"]
+    doc["tensor"]["table"]["b1|a1"] = ["b1", "b1", "b1"]
+    assert json.loads((GOLDEN / "tensor-repeats.presentation.json").read_text()) == doc
+    pres = presentation_from_document(doc)
+    assert pres == presentation_from_document(original)
+    # each component once, in index order
+    assert presentation_to_document(pres) == original
 
 
 def test_parse_tensor_unknown_name_and_bad_key():
@@ -195,13 +211,14 @@ def presentations(draw):
     )
     tensor = None
     if n and draw(st.booleans()):
+        masks = st.integers(0, (1 << n) - 1)
         cells = [[None] * n for _ in range(n)]
         for x in range(n):
             for y in range(x, n):
-                value = draw(exprs)
+                value = draw(masks)
                 cells[x][y] = value
                 cells[y][x] = value
-        tensor = TensorTable(draw(exprs), tuple(tuple(row) for row in cells))
+        tensor = TensorTable(draw(masks), tuple(tuple(row) for row in cells))
     return Presentation(names, triangles, tensor)
 
 
@@ -249,17 +266,17 @@ def test_builtin_point():
     pres = builtin("point")
     assert pres.names == ("k",)
     assert pres.triangles == ()
-    assert pres.tensor.unit == (0,)
-    assert pres.tensor.table[0][0] == (0,)
+    assert pres.tensor.unit == 0b1
+    assert pres.tensor.table == ((0b1,),)
 
 
 def test_builtin_product():
     pres = builtin("product", 3)
     assert pres.names == ("e1", "e2", "e3")
-    assert pres.tensor.unit == (0, 1, 2)
+    assert pres.tensor.unit == 0b111
     for x in range(3):
         for y in range(3):
-            assert pres.tensor.table[x][y] == ((x,) if x == y else ())
+            assert pres.tensor.table[x][y] == (1 << x if x == y else 0)
 
 
 def test_builtin_errors():
@@ -351,7 +368,8 @@ def rules_by_reading(pres):
     ideal = None
     if pres.tensor is not None:
         table = pres.tensor.table
-        ideal = [r + [(0, 0, sum({1 << c for row in table for c in row[e]}))]
+        ideal = [r + [(0, 0, sum({1 << c for row in table for c in range(pres.size)
+                                  if row[e] >> c & 1}))]
                  for e, r in enumerate(rules)]
     return rules, forced, ideal
 
