@@ -109,9 +109,9 @@ def _load_presentation(args: argparse.Namespace) -> Presentation:
     if args.builtin and args.input:
         raise InvalidParameter("choose exactly one of --builtin and --input")
     if args.builtin:
-        family, _, raw_n = args.builtin.partition(":")
+        family, colon, raw_n = args.builtin.partition(":")
         n = None
-        if raw_n:
+        if colon:  # "an:" names an empty parameter, which is not an integer
             # int() would also take "1_0", " 3", "+3" and non-ASCII digits
             if not (raw_n.isascii() and raw_n.isdigit()):
                 raise InvalidParameter(f"builtin parameter {raw_n!r} is not an integer")
@@ -151,7 +151,7 @@ class _Picks:
     """The JSON strings in ``quoted`` at the set bits of ``masks``: a list
     for one mask, a list of such lists for a sequence of masks."""
 
-    # a plain class: a dataclass would cost a millisecond at every import
+    # never compared or hashed, so a slotted class, not a ``_value.Value``
     __slots__ = ("quoted", "masks")
 
     def __init__(self, quoted: Sequence[str], masks: int | Sequence[int]) -> None:

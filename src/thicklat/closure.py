@@ -46,12 +46,12 @@ the product of the blocks' FCbO counts.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress, product
 from math import prod
 from operator import and_
 
+from ._value import Value
 from .bitsets import _DIGITS, canonical_sorted, pick
 from .presentation import Presentation, RuleTable
 
@@ -157,8 +157,7 @@ def _fcbo(full: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
                 stack.append((child, j + 1, failed))
 
 
-@dataclass(frozen=True)
-class ThickLattice:
+class ThickLattice(Value):
     """Closed subsets of a presentation in canonical order: all thick
     subsets, all thick ideals, or the prime ideals.
 
@@ -173,6 +172,10 @@ class ThickLattice:
 
     presentation: Presentation
     elements: tuple[int, ...]
+
+    def __init__(self, presentation: Presentation, elements: tuple[int, ...]) -> None:
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_
 
+from ._value import Value
 from .bitsets import omitted, pick
 from .closure import ThickLattice, thick_closure
 from .errors import InvalidParameter, NotAnElement, TooLarge
@@ -42,8 +42,7 @@ def _position(lattice: ThickLattice, mask: int, role: str) -> int:
     return pos
 
 
-@dataclass(frozen=True)
-class LawWitness:
+class LawWitness(Value):
     """A triple violating a lattice law, with both evaluated sides."""
 
     x: int
@@ -52,9 +51,15 @@ class LawWitness:
     lhs: int
     rhs: int
 
+    def __init__(self, x: int, y: int, z: int, lhs: int, rhs: int) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
-@dataclass(frozen=True)
-class LatticeReport:
+
+class LatticeReport(Value):
     size: int
     height: int
     atoms: tuple[int, ...]
@@ -63,6 +68,19 @@ class LatticeReport:
     is_modular: bool
     modular_witness: LawWitness | None
     covers: tuple[tuple[int, int], ...]  # the Hasse edges, as ``covering_pairs``
+
+    def __init__(self, size: int, height: int, atoms: tuple[int, ...],
+                 is_distributive: bool, distributive_witness: LawWitness | None,
+                 is_modular: bool, modular_witness: LawWitness | None,
+                 covers: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "is_distributive", is_distributive)
+        object.__setattr__(self, "distributive_witness", distributive_witness)
+        object.__setattr__(self, "is_modular", is_modular)
+        object.__setattr__(self, "modular_witness", modular_witness)
+        object.__setattr__(self, "covers", covers)
 
 
 def analyze(lattice: ThickLattice, max_size: int = DEFAULT_MAX_SIZE) -> LatticeReport:

@@ -18,11 +18,11 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import or_
 
+from ._value import Value
 from .bitsets import joins, mask_of, pick
 from .errors import InvalidParameter, SchemaError, UnknownFamily, ValidationError
 
@@ -39,17 +39,20 @@ def make_expr(indices: Iterable[int]) -> ObjectExpr:
     return tuple(sorted(indices))
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Value):
     """One distinguished triangle; its rotations hold too and are not stored."""
 
     a: ObjectExpr
     b: ObjectExpr
     c: ObjectExpr
 
+    def __init__(self, a: ObjectExpr, b: ObjectExpr, c: ObjectExpr) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
-@dataclass(frozen=True)
-class TensorTable:
+
+class TensorTable(Value):
     """Total multiplication table over ordered pairs of indecomposables, as
     component masks: ``unit`` holds the unit's components, and
     ``table[x][y]`` those of x*y.
@@ -61,19 +64,28 @@ class TensorTable:
     unit: int
     table: tuple[tuple[int, ...], ...]
 
+    def __init__(self, unit: int, table: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "table", table)
+
     @cached_property
     def absorption_masks(self) -> tuple[int, ...]:
         """Per indecomposable x: union of component masks of g*x over all g."""
         return tuple(reduce(or_, column, 0) for column in zip(*self.table))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Immutable presentation: unique names, triangles, optional tensor."""
 
     names: tuple[str, ...]
     triangles: tuple[Triangle, ...]
-    tensor: TensorTable | None = None
+    tensor: TensorTable | None
+
+    def __init__(self, names: tuple[str, ...], triangles: tuple[Triangle, ...],
+                 tensor: TensorTable | None = None) -> None:
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "tensor", tensor)
 
     @property
     def size(self) -> int:

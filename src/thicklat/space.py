@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
 
+from ._value import Value
 from .bitsets import mask_of, omitted, pick, picks
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
 from .presentation import ObjectExpr, Presentation, _members, _parse_names, _require_keys, _values
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class FinSpace(Value):
     """Finite space described by generators of its closed-set family.
 
     The generators, the empty set and the whole space are closed by definition,
@@ -44,6 +43,10 @@ class FinSpace:
 
     points: tuple[str, ...]
     generators: tuple[int, ...]
+
+    def __init__(self, points: tuple[str, ...], generators: tuple[int, ...]) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def generate(cls, points: Iterable[str], generators: Iterable[int]) -> FinSpace:
@@ -77,8 +80,7 @@ class FinSpace:
         return mask in self._closed_by_definition or self.closed_closure(mask) == mask
 
 
-@dataclass(frozen=True)
-class SupportDatum:
+class SupportDatum(Value):
     """Closed support sets per indecomposable over a finite space.
 
     Supports extend to arbitrary objects by union over components. That
@@ -90,7 +92,13 @@ class SupportDatum:
 
     space: FinSpace
     sigma: tuple[int, ...]
-    origin_map: tuple[int, ...] | None = field(default=None, kw_only=True)
+    origin_map: tuple[int, ...] | None
+
+    def __init__(self, space: FinSpace, sigma: tuple[int, ...], *,
+                 origin_map: tuple[int, ...] | None = None) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "origin_map", origin_map)
 
     def sigma_of(self, expr: ObjectExpr) -> int:
         """Support of a formal sum: the union over its components."""
@@ -100,7 +108,6 @@ class SupportDatum:
         return m
 
 
-@dataclass(frozen=True)
 class SupportSpace(SupportDatum):
     """Closed subsets as points, each indecomposable supported on the points
     that omit it.
@@ -112,6 +119,11 @@ class SupportSpace(SupportDatum):
     """
 
     lattice: ThickLattice
+
+    def __init__(self, space: FinSpace, sigma: tuple[int, ...], lattice: ThickLattice, *,
+                 origin_map: tuple[int, ...] | None = None) -> None:
+        super().__init__(space, sigma, origin_map=origin_map)
+        object.__setattr__(self, "lattice", lattice)
 
 
 def build_sp(lattice: ThickLattice) -> SupportSpace:
@@ -131,17 +143,25 @@ ROTATIONS = ("a vs b,c", "b vs c,a", "c vs a,b")
 POINT_ARROW = " -> "
 
 
-@dataclass(frozen=True)
-class TriangleViolation:
+class TriangleViolation(Value):
     triangle: int
     rotation: int
     excess: int  # points of the head support outside the union of the others
 
+    def __init__(self, triangle: int, rotation: int, excess: int) -> None:
+        object.__setattr__(self, "triangle", triangle)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "excess", excess)
 
-@dataclass(frozen=True)
-class DatumReport:
+
+class DatumReport(Value):
     triangle_violations: tuple[TriangleViolation, ...]
     unclosed: tuple[int, ...]
+
+    def __init__(self, triangle_violations: tuple[TriangleViolation, ...],
+                 unclosed: tuple[int, ...]) -> None:
+        object.__setattr__(self, "triangle_violations", triangle_violations)
+        object.__setattr__(self, "unclosed", unclosed)
 
     @property
     def valid(self) -> bool:
@@ -177,11 +197,13 @@ def _require_one_support_each(datum: SupportDatum, pres: Presentation) -> None:
             "it must assign one to each")
 
 
-@dataclass(frozen=True)
-class SupportMorphism:
+class SupportMorphism(Value):
     """Point map into a support space, as positions of lattice elements."""
 
     mapping: tuple[int, ...]
+
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        object.__setattr__(self, "mapping", mapping)
 
 
 def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism:
@@ -207,11 +229,16 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
     return SupportMorphism(tuple(mapping))
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(Value):
     ok: bool
-    pullback_failure: str | None = None
-    continuity_failure: str | None = None
+    pullback_failure: str | None
+    continuity_failure: str | None
+
+    def __init__(self, ok: bool, pullback_failure: str | None = None,
+                 continuity_failure: str | None = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "pullback_failure", pullback_failure)
+        object.__setattr__(self, "continuity_failure", continuity_failure)
 
 
 def check_morphism(datum: SupportDatum, sp: SupportSpace,

@@ -282,11 +282,16 @@ def test_generate_feeds_check(capsys, tmp_path):
     ("enumerate", "--builtin", "an: 3"),
     ("enumerate", "--builtin", "an:+3"),
     ("enumerate", "--builtin", "an:\u0663"),
+    # an empty parameter is not an integer, for a family with or without one
+    ("enumerate", "--builtin", "a2:"),
+    ("enumerate", "--builtin", "point:"),
+    ("enumerate", "--builtin", "an:"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():
