@@ -1,7 +1,7 @@
 """Thick subcategory lattices, universal support spaces, and prime spectra
 for finite combinatorial presentations."""
 
-from .closure import ThickLattice, enumerate_thick, iter_closed, thick_closure
+from .closure import ThickLattice, enumerate_thick, thick_closure
 from .errors import (
     InvalidParameter,
     NoTensor,
@@ -19,8 +19,6 @@ from .lattice import (
     analyze,
     covering_pairs,
     export_dot,
-    join,
-    meet,
 )
 from .presentation import (
     ObjectExpr,
@@ -31,7 +29,6 @@ from .presentation import (
     make_expr,
     parse_presentation,
     presentation_from_document,
-    presentation_to_document,
 )
 from .space import (
     DatumReport,
@@ -47,7 +44,6 @@ from .space import (
     datum_from_document,
     datum_to_document,
     morphism_from_document,
-    morphism_to_document,
     random_support_datum,
     universal_morphism,
 )

@@ -11,7 +11,7 @@ no Python call per mask (``bench/run.py`` ``enumerate`` 0.40 -> 0.34 s).
 walk through ``picks``; from 256 on, from one lookup per chunk of at most 8
 names in tables of joined names built once (``enumerate`` 0.341 -> 0.305 s;
 a sparse job's 32,423 JSON rows 37 -> 22 ms, in-process medians of 15).
-Inline low-bit loops stay in ``closure.propagate`` and ``closure.iter_closed``,
+Inline low-bit loops stay in ``closure.propagate`` and ``closure._fcbo``,
 whose worklists change mid-walk (``pick`` took product:15's ideals from 0.082
 to 0.100 s, in-process medians of 7). All on a 2-vCPU Xeon VM, Python 3.11.
 """

@@ -108,8 +108,12 @@ def thick_closure(pres: Presentation, members: int, closed: int = 0,
     return propagate(pres.rules, members | pres.forced, closed, stop)
 
 
-def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
-    """All fixed points of a closure operator on subsets of range(n).
+def _fcbo(full: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
+    """Closed sets of a closure operator, each once, from FCbO over the
+    candidates inside ``full``. With ``full`` holding every element, these
+    are all of them; where no rule links ``full`` to the other elements,
+    they are the closed sets whose part outside ``full`` is that of
+    ``close(0, 0, 0)``.
 
     ``close(members, closed, stop)`` must return the closure of ``members``
     given that ``closed`` is 0 or a closed subset of ``members``; every call
@@ -130,13 +134,6 @@ def iter_closed(n: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
     with it at once: no child pops before the loop ends, so each sees every
     record, and each copies before writing, so none sees a sibling's.
     """
-    return _fcbo((1 << n) - 1, close)
-
-
-def _fcbo(full: int, close: Callable[[int, int, int], int]) -> Iterator[int]:
-    """``iter_closed``'s walk, trying only the candidates inside ``full``.
-    Where no rule links ``full`` to the other elements, it yields the closed
-    sets whose part outside ``full`` is that of ``close(0, 0, 0)``."""
     stack = [(close(0, 0, 0), 0, [0] * full.bit_length())]
     while stack:
         parent, start, failed = stack.pop()
@@ -166,8 +163,7 @@ class ThickLattice(Value):
     ``lattice``, covers and ``analyze`` read the family's inclusion order,
     so they need a family closed under intersection that holds the full
     set, as the thick subsets and the thick ideals are, and raise
-    ``NotAnElement`` on any other; ``join`` closes with ``thick_closure``
-    and raises ``NotAnElement`` where the closure falls outside.
+    ``NotAnElement`` on any other.
     """
 
     presentation: Presentation
@@ -248,7 +244,7 @@ def _table_sets(n: int, closed: int) -> list[int]:
 def _walk_blocks(pres: Presentation) -> Iterator[int]:
     """All thick subsets, each once, unsorted: FCbO on each block, and the
     unions of one set per block streamed from ``itertools.product``, holding
-    only the parts. One block is walked lazily, as ``iter_closed`` walks it."""
+    only the parts. One block is walked lazily, by one FCbO over all elements."""
     close = partial(thick_closure, pres)
     blocks = pres.blocks
     if len(blocks) < 2:

@@ -9,37 +9,11 @@ from operator import and_
 
 from ._value import Value
 from .bitsets import omitted, pick
-from .closure import ThickLattice, thick_closure
+from .closure import ThickLattice
+from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import InvalidParameter, NotAnElement, TooLarge
 
 DEFAULT_MAX_SIZE = 10_000
-
-
-def meet(lattice: ThickLattice, j: int, k: int) -> int:
-    """Intersection, which must be an element, as in any intersection-closed family."""
-    _position(lattice, j, "left operand")
-    _position(lattice, k, "right operand")
-    _position(lattice, j & k, "meet")
-    return j & k
-
-
-def join(lattice: ThickLattice, j: int, k: int) -> int:
-    """Closure of the union, which must itself be an element, propagated
-    from the operand that leaves fewer new elements to queue."""
-    _position(lattice, j, "left operand")
-    _position(lattice, k, "right operand")
-    base = j if (k & ~j).bit_count() <= (j & ~k).bit_count() else k
-    got = thick_closure(lattice.presentation, j | k, base)
-    _position(lattice, got, "join")
-    return got
-
-
-def _position(lattice: ThickLattice, mask: int, role: str) -> int:
-    pos = lattice.position.get(mask)
-    if pos is None:
-        raise NotAnElement(
-            f"{role} {lattice.presentation.label(mask)} is not a lattice element")
-    return pos
 
 
 class LawWitness(Value):

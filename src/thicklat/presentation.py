@@ -189,22 +189,6 @@ def presentation_from_document(doc: object) -> Presentation:
     return Presentation(names, tuple(triangles), tensor)
 
 
-def presentation_to_document(pres: Presentation) -> dict:
-    doc: dict = {
-        "indecomposables": list(pres.names),
-        "triangles": [
-            [pres.expr_names(t.a), pres.expr_names(t.b), pres.expr_names(t.c)]
-            for t in pres.triangles
-        ],
-    }
-    if pres.tensor is not None:
-        table = {f"{x}{NAME_SEPARATOR}{y}": pick(pres.names, cell)
-                 for x, row in zip(pres.names, pres.tensor.table)
-                 for y, cell in zip(pres.names, row)}
-        doc["tensor"] = {"unit": pick(pres.names, pres.tensor.unit), "table": table}
-    return doc
-
-
 # The readers below serve every document: presentations here, support data
 # and morphisms in ``space``, and the files the CLI reads.
 

@@ -343,13 +343,3 @@ def morphism_from_document(doc: object, datum: SupportDatum,
             raise ValidationError(f"map: target {dest!r} is not a point of the space")
         mapping.append(target_index[dest])
     return SupportMorphism(tuple(mapping))
-
-
-def morphism_to_document(morphism: SupportMorphism, datum: SupportDatum,
-                         sp: SupportSpace) -> dict:
-    return {
-        "map": {
-            datum.space.points[x]: sp.space.points[t]
-            for x, t in enumerate(morphism.mapping)
-        }
-    }

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 
 from .bitsets import canonical_sorted, mask_of, pick
-from .closure import ThickLattice, iter_closed, propagate
+from .closure import ThickLattice, _fcbo, propagate
 from .closure import thick_closure  # noqa: F401  unused; bench/spans.py counts calls through this name
 from .errors import NoTensor
 from .presentation import Presentation, TensorTable
@@ -52,7 +52,7 @@ def enumerate_ideals(pres: Presentation) -> ThickLattice:
     _tensor(pres)
     # one FCbO over all elements, not one per triangle block as in
     # ``closure._walk_blocks``: absorption masks link elements across those blocks
-    found = iter_closed(pres.size, partial(ideal_closure, pres))
+    found = _fcbo(pres.full_mask, partial(ideal_closure, pres))
     return ThickLattice(pres, canonical_sorted(found))
 
 

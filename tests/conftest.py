@@ -46,6 +46,31 @@ def preimage(morphism, target_mask):
     return m
 
 
+def presentation_to_document(pres):
+    """The document of a presentation, as ``parse_presentation`` reads it:
+    each tensor cell and the unit as the names of its components."""
+    def names(mask):
+        return [pres.names[i] for i in members_by_loop(mask)]
+
+    doc = {
+        "indecomposables": list(pres.names),
+        "triangles": [[[pres.names[i] for i in vertex] for vertex in (t.a, t.b, t.c)]
+                      for t in pres.triangles],
+    }
+    if pres.tensor is not None:
+        table = {f"{x}|{y}": names(cell)
+                 for x, row in zip(pres.names, pres.tensor.table)
+                 for y, cell in zip(pres.names, row)}
+        doc["tensor"] = {"unit": names(pres.tensor.unit), "table": table}
+    return doc
+
+
+def morphism_to_document(morphism, datum, sp):
+    """The document of a point map, as ``morphism_from_document`` reads it."""
+    return {"map": {datum.space.points[x]: sp.space.points[t]
+                    for x, t in enumerate(morphism.mapping)}}
+
+
 def key_by_members(mask):
     """Oracle canonical order: cardinality, then the tuple of members."""
     return (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
@@ -340,7 +365,7 @@ def assert_stopped_closure(members, stopped, full, stop):
 
 def fcbo_by_handoff(n, close):
     """Reference FCbO with In-Close's early stop, the order and pruning
-    ``closure.iter_closed`` must match: each node collects its children and
+    ``closure._fcbo`` must match: each node collects its children and
     hands them a frozen copy of its failure records only once its loop over
     candidates is done."""
     stack = [(close(0, 0, 0), 0, (0,) * n)]

@@ -16,8 +16,8 @@ from conftest import (
     tt_violations,
 )
 from thicklat.cli import main
-from thicklat.closure import enumerate_thick
-from thicklat.lattice import analyze, join, meet
+from thicklat.closure import enumerate_thick, thick_closure
+from thicklat.lattice import analyze
 from thicklat.presentation import builtin
 from thicklat.space import (
     SupportMorphism,
@@ -67,8 +67,9 @@ def test_criterion_1_a2_lattice(capsys):
         report = analyze(lat)
         assert not report.is_distributive and report.is_modular
         w = report.distributive_witness
-        lhs = meet(lat, w.x, join(lat, w.y, w.z))
-        rhs = join(lat, meet(lat, w.x, w.y), meet(lat, w.x, w.z))
+        pres = lat.presentation  # meets are intersections, joins closed unions
+        lhs = w.x & thick_closure(pres, w.y | w.z)
+        rhs = thick_closure(pres, (w.x & w.y) | (w.x & w.z))
         assert (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
         assert time.perf_counter() - started < 1.0
         return "5 subcategories, verified witness"

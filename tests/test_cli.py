@@ -12,7 +12,12 @@ from itertools import cycle, islice
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import random_presentation, random_tensor_presentation
+from conftest import (
+    morphism_to_document,
+    presentation_to_document,
+    random_presentation,
+    random_tensor_presentation,
+)
 from run_cases import GOLDEN, ROOT, load_cases, mismatch
 from thicklat import lattice
 from thicklat.bitsets import joins, pick
@@ -23,7 +28,6 @@ from thicklat.presentation import (
     _decode_json,
     builtin,
     parse_presentation,
-    presentation_to_document,
 )
 from thicklat.space import (
     build_sp,
@@ -31,7 +35,6 @@ from thicklat.space import (
     datum_from_document,
     datum_to_document,
     morphism_from_document,
-    morphism_to_document,
     random_support_datum,
     universal_morphism,
 )

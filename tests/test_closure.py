@@ -26,7 +26,7 @@ from conftest import (
 )
 from thicklat import closure
 from thicklat.bitsets import canonical_key, canonical_sorted, mask_of
-from thicklat.closure import enumerate_thick, iter_closed, thick_closure
+from thicklat.closure import _fcbo, enumerate_thick, thick_closure
 from thicklat.errors import TooLarge
 from thicklat.presentation import (
     Presentation, Triangle, builtin, make_expr, presentation_from_document)
@@ -197,9 +197,10 @@ def test_stopped_closure_is_exact():
 
 @pytest.mark.parametrize("seed", range(200))
 def test_iter_closed_is_unchanged_by_stopping(seed):
+    # the tests named after iter_closed test closure._fcbo over every element
     pres = random_presentation(seed)
-    stopped = list(iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c, s)))
-    full = list(iter_closed(pres.size, lambda m, c, s: thick_closure(pres, m, c)))
+    stopped = list(_fcbo(pres.full_mask, lambda m, c, s: thick_closure(pres, m, c, s)))
+    full = list(_fcbo(pres.full_mask, lambda m, c, s: thick_closure(pres, m, c)))
     assert stopped == full
 
 
@@ -213,7 +214,7 @@ def test_iter_closed_yields_each_once():
         assert_stopped_closure(members, result, thick_closure(pres, members), stop)
         return result
 
-    seen = list(iter_closed(pres.size, close))
+    seen = list(_fcbo(pres.full_mask, close))
     assert len(seen) == len(set(seen)) == 52
 
 
@@ -227,7 +228,7 @@ def assert_prunes_as_reference(pres, closure_fn):
         return close
 
     ours, reference = [], []
-    assert (list(iter_closed(pres.size, recording(ours)))
+    assert (list(_fcbo(pres.full_mask, recording(ours)))
             == list(fcbo_by_handoff(pres.size, recording(reference))))
     assert ours == reference
 
@@ -295,7 +296,7 @@ def test_connected_presentation_is_walked_as_iter_closed(monkeypatch):
     walked += sets
     ours = calls[:]
     calls.clear()
-    assert walked == list(iter_closed(pres.size, partial(closure.thick_closure, pres)))
+    assert walked == list(_fcbo(pres.full_mask, partial(closure.thick_closure, pres)))
     assert ours == calls
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     covers_by_closures,
     covers_by_definition,
+    disjoint_union,
     random_presentation,
     random_tensor_presentation,
     report_by_sweep,
@@ -15,7 +16,7 @@ from thicklat import lattice
 from thicklat.bitsets import mask_of
 from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
 from thicklat.errors import InvalidParameter, NotAnElement, TooLarge
-from thicklat.lattice import analyze, covering_pairs, export_dot, join, meet
+from thicklat.lattice import analyze, covering_pairs, export_dot
 from thicklat.presentation import Presentation, Triangle, builtin, parse_presentation
 from thicklat.tensor import enumerate_ideals, primes
 
@@ -30,13 +31,17 @@ def join_oracle(lat, j, k):
     return reduce(lambda a, b: a & b, supersets)
 
 
+def join(lat, j, k):
+    """The join of two thick subsets: the thick closure of their union,
+    whose part j is thick already."""
+    return thick_closure(lat.presentation, j | k, j)
+
+
 def test_meet_examples():
-    p1, p2, s2 = mask_of([0]), mask_of([1]), mask_of([2])
-    top = A2.full_mask
-    assert meet(A2_LAT, p1, p2) == 0
-    assert meet(A2_LAT, top, p2) == p2
-    for j in A2_LAT.elements:
-        assert meet(A2_LAT, j, j) == j
+    # the meet of two thick subsets is their intersection
+    p1, p2 = mask_of([0]), mask_of([1])
+    for j, k, meet in ((p1, p2, 0), (A2.full_mask, p2, p2)):
+        assert j & k == meet and meet in A2_LAT.position
 
 
 def test_join_examples():
@@ -57,13 +62,6 @@ def test_meet_of_elements_is_an_element():
                 assert j & k in lat.position
 
 
-def test_meet_join_reject_non_elements():
-    with pytest.raises(NotAnElement):
-        meet(A2_LAT, mask_of([0, 1]), 0)
-    with pytest.raises(NotAnElement):
-        join(A2_LAT, 0, mask_of([0, 2]))
-
-
 def test_join_matches_superset_oracle():
     for pres in (A2, builtin("an", 3), builtin("product", 3), builtin("point")):
         lat = enumerate_thick(pres)
@@ -80,14 +78,13 @@ def test_lattice_laws_exhaustive_small():
         elems = lat.elements
         for x in elems:
             for y in elems:
-                assert meet(lat, x, y) == meet(lat, y, x)
+                assert x & y in lat.position and join(lat, x, y) in lat.position
                 assert join(lat, x, y) == join(lat, y, x)
-                assert join(lat, x, meet(lat, x, y)) == x
-                assert meet(lat, x, join(lat, x, y)) == x
+                assert join(lat, x, x & y) == x
+                assert x & join(lat, x, y) == x
         for x in elems:
             for y in elems:
                 for z in elems:
-                    assert meet(lat, meet(lat, x, y), z) == meet(lat, x, meet(lat, y, z))
                     assert join(lat, join(lat, x, y), z) == join(lat, x, join(lat, y, z))
 
 
@@ -97,10 +94,10 @@ def test_lattice_laws_sampled_large():
     rng = random.Random(11)
     for _ in range(300):
         x, y, z = (rng.choice(lat.elements) for _ in range(3))
-        assert meet(lat, x, y) == meet(lat, y, x)
+        assert x & y in lat.position and join(lat, x, y) in lat.position
         assert join(lat, x, y) == join(lat, y, x)
-        assert join(lat, x, meet(lat, x, y)) == x
-        assert meet(lat, x, join(lat, x, y)) == x
+        assert join(lat, x, x & y) == x
+        assert x & join(lat, x, y) == x
         assert join(lat, join(lat, x, y), z) == join(lat, x, join(lat, y, z))
 
 
@@ -115,8 +112,8 @@ def test_analyze_a2():
     w = report.distributive_witness
     assert (w.x, w.y, w.z) == (mask_of([0]), mask_of([1]), mask_of([2]))
     # the witness really violates the law
-    assert w.lhs == meet(A2_LAT, w.x, join(A2_LAT, w.y, w.z))
-    assert w.rhs == join(A2_LAT, meet(A2_LAT, w.x, w.y), meet(A2_LAT, w.x, w.z))
+    assert w.lhs == w.x & join(A2_LAT, w.y, w.z)
+    assert w.rhs == join(A2_LAT, w.x & w.y, w.x & w.z)
     assert w.lhs != w.rhs
 
 
@@ -167,14 +164,14 @@ def test_witnesses_actually_violate():
         report = analyze(lat)
         if report.distributive_witness is not None:
             w = report.distributive_witness
-            lhs = meet(lat, w.x, join(lat, w.y, w.z))
-            rhs = join(lat, meet(lat, w.x, w.y), meet(lat, w.x, w.z))
+            lhs = w.x & join(lat, w.y, w.z)
+            rhs = join(lat, w.x & w.y, w.x & w.z)
             assert (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
         if report.modular_witness is not None:
             w = report.modular_witness
             assert w.x & ~w.z == 0
-            lhs = join(lat, w.x, meet(lat, w.y, w.z))
-            rhs = meet(lat, join(lat, w.x, w.y), w.z)
+            lhs = join(lat, w.x, w.y & w.z)
+            rhs = join(lat, w.x, w.y) & w.z
             assert (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
 
 
@@ -260,22 +257,21 @@ def test_covers_match_closures_on_wide_inputs():
 def test_operations_on_ideal_lattices_answer_exactly_or_refuse():
     # an ideal family is closed under intersection and holds every
     # indecomposable, so covers and analyze, which read its inclusion
-    # order, answer exactly; join closes with thick_closure, which may leave
-    # the family, so it answers exactly or raises NotAnElement
-    join_refused = 0
+    # order, answer exactly; the thick closure of two ideals' union may
+    # leave the family, and where it does not it is their join there
+    not_ideal = 0
     for seed in range(200):
         lat = enumerate_ideals(random_tensor_presentation(seed))
         assert covering_pairs(lat) == covers_by_definition(lat.elements)
         assert analyze(lat) == report_by_sweep(lat)
         for j in lat.elements:
             for k in lat.elements:
-                try:
-                    got = join(lat, j, k)
-                except NotAnElement:
-                    join_refused += 1
+                got = join(lat, j, k)
+                if got not in lat.position:
+                    not_ideal += 1
                     continue
                 assert got == join_oracle(lat, j, k)
-    assert join_refused > 0
+    assert not_ideal > 0
 
 
 @pytest.mark.parametrize("elements", [(0, 0b011, 0b101, 0b111), (0b011, 0b101, 0b111), ()],
@@ -311,31 +307,13 @@ def test_a_family_with_no_prime_is_refused():
             find(lat)
 
 
-def meets_refused(lat):
-    """How many meets are refused; each other meet is the intersection."""
-    refused = 0
-    for j in lat.elements:
-        for k in lat.elements:
-            if j & k in lat.position:
-                assert meet(lat, j, k) == j & k
-                continue
-            with pytest.raises(NotAnElement, match="meet"):
-                meet(lat, j, k)
-            refused += 1
-    return refused
-
-
-def test_meet_refuses_an_intersection_outside_the_family():
-    # {0,1} & {0,2} = {0}, in either order
-    assert meets_refused(ThickLattice(A2, (0, 0b011, 0b101, 0b111))) == 2
-
-
 @pytest.mark.parametrize("k", range(2, 8))
 def test_meets_of_distinct_primes_are_refused(k):
-    # distinct primes of a product omit distinct indecomposables, and every
-    # prime omits exactly one
+    # the intersection of two distinct primes of a product is no prime:
+    # they omit distinct indecomposables, and every prime omits exactly one
     lat = primes(builtin("product", k)).lattice
-    assert meets_refused(lat) == len(lat) * (len(lat) - 1)
+    outside = sum(j & k not in lat.position for j in lat.elements for k in lat.elements)
+    assert outside == len(lat) * (len(lat) - 1)
 
 
 SMALL_BUILTINS = [("point", None), ("a2", None), ("an", 3), ("an", 4)]
@@ -437,3 +415,32 @@ def test_renaming_and_reordering_maps_the_report(pres, seed):
 
     assert sorted(mask_covers(moved, got)) == sorted(
         (permuted(lo, perm), permuted(hi, perm)) for lo, hi in mask_covers(lat, want))
+
+
+def reports_beside(part):
+    """Per input, the reports of its lattice and of its disjoint union with
+    ``part``: an:4..5, product:3..6 and 200 random presentations of at
+    most 6 names."""
+    inputs = [builtin("an", n) for n in (4, 5)] + [builtin("product", n) for n in range(3, 7)]
+    inputs += [random_presentation(seed, max_indecs=6) for seed in range(200)]
+    for seed, pres in enumerate(inputs):
+        yield (analyze(enumerate_thick(pres)),
+               analyze(enumerate_thick(disjoint_union(pres, part, seed=seed))))
+
+
+# metamorphic relations: the thick subsets of a disjoint union are the
+# unions of one per part, so its lattice is the product of the parts'
+
+def test_a_free_name_doubles_the_lattice():
+    # times the two-element chain: one level more, and both laws kept
+    for want, got in reports_beside(Presentation(("free",), ())):
+        assert (got.size, got.height) == (2 * want.size, want.height + 1)
+        assert (got.is_distributive, got.is_modular) == (want.is_distributive, want.is_modular)
+
+
+def test_a2_beside_multiplies_the_lattice_by_five():
+    # times M3, which is modular and not distributive: two levels more, and
+    # modularity kept
+    for want, got in reports_beside(A2):
+        assert (got.size, got.height) == (5 * want.size, want.height + 2)
+        assert got.is_modular == want.is_modular and not got.is_distributive

@@ -5,7 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import disjoint_union, random_presentation, random_tensor_presentation
+from conftest import (
+    disjoint_union,
+    presentation_to_document,
+    random_presentation,
+    random_tensor_presentation,
+)
 from run_cases import GOLDEN
 from thicklat.errors import (
     InvalidParameter,
@@ -21,7 +26,6 @@ from thicklat.presentation import (
     make_expr,
     parse_presentation,
     presentation_from_document,
-    presentation_to_document,
 )
 
 

@@ -4,9 +4,12 @@ import ast
 import importlib
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import thicklat
 
@@ -93,6 +96,54 @@ def test_names_the_benchmark_traces_still_resolve():
     assert callable(thicklat.space.FinSpace.is_closed)
     # the size counter for tensor.primes reads the spectrum's points by this name
     assert isinstance(thicklat.Spectrum.primes, property)
+
+
+UNREACHED = ROOT / "tests" / "unreached.py"
+
+
+def run_unreached(package_parent: Path) -> subprocess.CompletedProcess:
+    # a fresh process keeps the tracer out of pytest and sees import-time calls
+    return subprocess.run([sys.executable, str(UNREACHED), str(package_parent)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_cli_traffic_enters_every_library_function():
+    # the library keeps what the CLI and the README run: every case of the
+    # case list and the Library example, past the reasoned exceptions
+    run = run_unreached(PACKAGE.parent)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+
+@pytest.fixture(scope="module")
+def mutated_unreached(tmp_path_factory):
+    """The gate's lines on a copy of the package with one function that
+    nothing calls, one exception that an import enters, and one exception
+    deleted from the source."""
+    parent = tmp_path_factory.mktemp("mutated")
+    copy = shutil.copytree(PACKAGE, parent / "thicklat",
+                           ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "lattice.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef nothing_calls_this() -> None:\n    pass\n")
+    with open(copy / "bitsets.py", "a", encoding="utf-8") as fh:
+        fh.write("\ncanonical_key(0)\n")
+    tensor = (copy / "tensor.py").read_text(encoding="utf-8")
+    primes = "    @property\n    def primes(self) -> tuple[int, ...]:\n        return self.lattice.elements\n"
+    assert primes in tensor
+    (copy / "tensor.py").write_text(tensor.replace(primes, "    pass\n"), encoding="utf-8")
+    run = run_unreached(parent)
+    assert run.returncode == 1 and run.stderr == ""
+    return run.stdout.splitlines()
+
+
+def test_the_gate_reports_a_function_nothing_calls(mutated_unreached):
+    assert [line for line in mutated_unreached if line.startswith("unreached:")] == [
+        "unreached: lattice.nothing_calls_this"]
+
+
+def test_the_gate_reports_stale_exceptions(mutated_unreached):
+    assert [line for line in mutated_unreached if line.startswith("stale exception:")] == [
+        "stale exception: bitsets.canonical_key is entered",
+        "stale exception: tensor.Spectrum.primes names no function or class"]
 
 
 def test_readme_library_example_runs():

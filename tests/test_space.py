@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     closed_sets,
     closure_by_avoiding_union,
+    morphism_to_document,
     preimage,
     random_presentation,
     random_tensor_presentation,
@@ -25,7 +26,6 @@ from thicklat.space import (
     datum_from_document,
     datum_to_document,
     morphism_from_document,
-    morphism_to_document,
     random_support_datum,
     universal_morphism,
 )

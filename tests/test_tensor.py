@@ -18,7 +18,7 @@ from conftest import (
     tt_violations,
 )
 from thicklat.bitsets import canonical_key, mask_of, pick
-from thicklat.closure import ThickLattice, enumerate_thick, iter_closed, thick_closure
+from thicklat.closure import ThickLattice, _fcbo, enumerate_thick, thick_closure
 from thicklat.errors import NoTensor
 from thicklat.presentation import (
     Presentation,
@@ -121,8 +121,8 @@ def test_stopped_ideal_closure_is_exact():
 @pytest.mark.parametrize("seed", range(200))
 def test_iter_closed_ideals_are_unchanged_by_stopping(seed):
     pres = random_tensor_presentation(seed)
-    stopped = list(iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c, s)))
-    full = list(iter_closed(pres.size, lambda m, c, s: ideal_closure(pres, m, c)))
+    stopped = list(_fcbo(pres.full_mask, lambda m, c, s: ideal_closure(pres, m, c, s)))
+    full = list(_fcbo(pres.full_mask, lambda m, c, s: ideal_closure(pres, m, c)))
     assert stopped == full
 
 
