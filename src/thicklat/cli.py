@@ -315,7 +315,7 @@ def _datum_report_lines(report: DatumReport, datum, pres: Presentation) -> list[
         lines.append(f"triangles: {len(report.triangle_violations)} violation(s)")
         for v in report.triangle_violations:
             tri = pres.triangles[v.triangle]
-            shape = " -> ".join("+".join(pres.expr_names(e)) if e else "0"
+            shape = " -> ".join("+".join(pres.names[i] for i in e) if e else "0"
                                 for e in (tri.a, tri.b, tri.c))
             stray = ", ".join(pick(datum.space.points, v.excess))
             lines.append(

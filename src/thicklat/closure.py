@@ -180,9 +180,6 @@ class ThickLattice(Value):
     def position(self) -> dict[int, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.presentation.labels(self.elements))
-
 
 def _fits_table(pres: Presentation) -> bool:
     return (len(pres.triangles) + 16) << pres.size <= TABLE_BOUND

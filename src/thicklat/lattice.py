@@ -213,7 +213,7 @@ def export_dot(lattice: ThickLattice, covers: Iterable[tuple[int, int]]) -> str:
     canonical order, edges upward. An edge that does not go up between two
     positions of the lattice raises ``InvalidParameter``."""
     lines = ["digraph thick_lattice {", "  rankdir=BT;"]
-    for i, label in enumerate(lattice.labels()):
+    for i, label in enumerate(lattice.presentation.labels(lattice.elements)):
         safe = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{safe}"];')
     n = len(lattice.elements)

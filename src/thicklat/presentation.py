@@ -68,11 +68,6 @@ class TensorTable(Value):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "table", table)
 
-    @cached_property
-    def absorption_masks(self) -> tuple[int, ...]:
-        """Per indecomposable x: union of component masks of g*x over all g."""
-        return tuple(reduce(or_, column, 0) for column in zip(*self.table))
-
 
 class Presentation(Value):
     """Immutable presentation: unique names, triangles, optional tensor."""
@@ -115,8 +110,8 @@ class Presentation(Value):
     def ideal_rules(self) -> RuleTable:
         """``rules`` plus, per element e, the absorption rule (0, 0, the
         components of every g*e), which fires as soon as e arrives."""
-        absorbed = self.tensor.absorption_masks
-        return tuple(r + ((0, 0, m),) for r, m in zip(self.rules, absorbed))
+        return tuple(r + ((0, 0, reduce(or_, column, 0)),)
+                     for r, column in zip(self.rules, zip(*self.tensor.table)))
 
     @cached_property
     def forced(self) -> int:
@@ -145,14 +140,11 @@ class Presentation(Value):
 
     def label(self, mask: int) -> str:
         """Brace-joined member names of a subset mask, in index order."""
-        return "{" + ",".join(pick(self.names, mask)) + "}"
+        return next(self.labels((mask,)))
 
     def labels(self, masks: Iterable[int]) -> Iterator[str]:
         """``label`` of each mask, lazily, its names joined by ``joins``."""
         return map("{{{}}}".format, joins(self.names, tuple(masks), ","))
-
-    def expr_names(self, expr: ObjectExpr) -> list[str]:
-        return [self.names[i] for i in expr]
 
 
 # --------------------------------------------------------------------------

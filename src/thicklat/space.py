@@ -37,24 +37,21 @@ class FinSpace(Value):
     holding a point is its point closure: the intersection of the generators
     through it, or the whole space when none is. The smallest closed superset
     of a set is the union of its points' closures, and a set is closed when
-    that adds nothing; the family is never materialized. A directly built space
-    may hold generators past its points: those are not closed.
+    that adds nothing; the family is never materialized. The constructor
+    masks each generator to the points, drops repeats and the empty set,
+    and sorts what is left.
     """
 
     points: tuple[str, ...]
     generators: tuple[int, ...]
 
-    def __init__(self, points: tuple[str, ...], generators: tuple[int, ...]) -> None:
+    def __init__(self, points: Iterable[str], generators: Iterable[int]) -> None:
+        points = tuple(points)
+        full = (1 << len(points)) - 1
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "generators", generators)
-
-    @classmethod
-    def generate(cls, points: Iterable[str], generators: Iterable[int]) -> FinSpace:
-        pts = tuple(points)
-        full = (1 << len(pts)) - 1
         # the empty set is closed by fiat, so it is dropped as a generator
-        gens = tuple(sorted({g & full for g in generators} - {0}))
-        return cls(pts, gens)
+        object.__setattr__(self, "generators",
+                           tuple(sorted({g & full for g in generators} - {0})))
 
     @property
     def full_mask(self) -> int:
@@ -73,7 +70,7 @@ class FinSpace(Value):
 
     @cached_property
     def _closed_by_definition(self) -> frozenset[int]:
-        return frozenset([0, self.full_mask, *(g for g in self.generators if g <= self.full_mask)])
+        return frozenset([0, self.full_mask, *self.generators])
 
     def is_closed(self, mask: int) -> bool:
         """A generator, the empty set and the whole space are closed by definition."""
@@ -120,16 +117,16 @@ class SupportSpace(SupportDatum):
 
     lattice: ThickLattice
 
-    def __init__(self, space: FinSpace, sigma: tuple[int, ...], lattice: ThickLattice, *,
-                 origin_map: tuple[int, ...] | None = None) -> None:
-        super().__init__(space, sigma, origin_map=origin_map)
+    def __init__(self, space: FinSpace, sigma: tuple[int, ...], lattice: ThickLattice) -> None:
+        super().__init__(space, sigma)
         object.__setattr__(self, "lattice", lattice)
 
 
 def build_sp(lattice: ThickLattice) -> SupportSpace:
     """One point per element of ``lattice``, supports by omission."""
-    sigma = omitted(lattice.elements, lattice.presentation.size)
-    return SupportSpace(FinSpace.generate(lattice.labels(), sigma), sigma, lattice)
+    pres = lattice.presentation
+    sigma = omitted(lattice.elements, pres.size)
+    return SupportSpace(FinSpace(pres.labels(lattice.elements), sigma), sigma, lattice)
 
 
 STRUCTURAL_AXIOMS: tuple[tuple[str, str], ...] = (
@@ -293,7 +290,7 @@ def random_support_datum(sp: SupportSpace, num_points: int, seed: int) -> Suppor
     origin = tuple(rng.randrange(len(elems)) for _ in range(num_points))
     sigma = omitted([elems[t] for t in origin], sp.lattice.presentation.size)
     points = tuple(f"x{i}" for i in range(num_points))
-    space = FinSpace.generate(points, sigma)
+    space = FinSpace(points, sigma)
     return SupportDatum(space, sigma, origin_map=origin)
 
 
@@ -324,7 +321,7 @@ def datum_from_document(doc: object, pres: Presentation) -> SupportDatum:
         if not isinstance(raw_closed, list):
             raise SchemaError("closed must be a list of point lists")
         gens = [mask_of(_members(c, index, f"closed[{i}]")) for i, c in enumerate(raw_closed)]
-    return SupportDatum(FinSpace.generate(points, gens), sigma)
+    return SupportDatum(FinSpace(points, gens), sigma)
 
 
 def datum_to_document(datum: SupportDatum, pres: Presentation) -> dict:

@@ -166,6 +166,18 @@ def test_check_invalid_datum(capsys, tmp_path):
     assert "verdict: invalid" in out
 
 
+def test_check_names_every_component_of_a_violated_triangle(capsys, tmp_path):
+    # a sum vertex lists each component as often as it occurs; the zero object is 0
+    pres = {"indecomposables": ["P", "Q"], "triangles": [[["P", "Q", "Q"], [], ["Q"]]]}
+    datum = {"points": ["x"], "sigma": {"P": ["x"], "Q": []}}
+    (tmp_path / "pres.json").write_text(json.dumps(pres))
+    (tmp_path / "datum.json").write_text(json.dumps(datum))
+    code, out, _ = run(capsys, "check", "--input", str(tmp_path / "pres.json"),
+                       "--datum", str(tmp_path / "datum.json"))
+    assert code == 1
+    assert "  triangle 0 (P+Q+Q -> 0 -> Q), rotation a vs b,c: stray points x\n" in out
+
+
 def test_check_schema_error_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

@@ -93,7 +93,7 @@ def test_closure_properties_hypothesis(seed, raw_s, raw_t):
 
 def test_enumerate_a2_exact():
     lat = enumerate_thick(A2)
-    assert lat.labels() == ("{}", "{P1}", "{P2}", "{S2}", "{P1,P2,S2}")
+    assert list(A2.labels(lat.elements)) == ["{}", "{P1}", "{P2}", "{S2}", "{P1,P2,S2}"]
 
 
 def test_enumerate_point_product_empty():

@@ -94,6 +94,16 @@ the checks on them were lines of the CI workflow.
 
 ``random17.presentation.json`` is conftest's ``random_presentation(17)``:
 9 indecomposables, 85 elements, and neither law holds.
+
+Each case with an ``.err`` golden named after its error (``no-source``,
+``builtin-unknown``, ``seed-negative`` and the like) runs one error path of
+the CLI, the builtins or the document parsers that no other case reaches;
+they were recorded at commit bc04336. ``not-utf8.presentation.json`` is a
+presentation written in Latin-1, ``a2-datum-closed-not-list.json`` gives
+its closed sets as an object, and ``a2-morphism-bad-target.json`` sends a
+point to ``{Q}``, which is no point of a2's space. The case
+``lattice-a2-dot-devnull`` draws to ``/dev/null`` and prints the bytes of
+``lattice-a2.txt``; it is named so that no ``.dot`` case is looked for.
 """
 
 import argparse

@@ -13,7 +13,7 @@ from conftest import (
     report_by_sweep,
 )
 from thicklat import lattice
-from thicklat.bitsets import mask_of
+from thicklat.bitsets import mask_of, pick
 from thicklat.closure import ThickLattice, enumerate_thick, thick_closure
 from thicklat.errors import InvalidParameter, NotAnElement, TooLarge
 from thicklat.lattice import analyze, covering_pairs, export_dot
@@ -444,3 +444,35 @@ def test_a2_beside_multiplies_the_lattice_by_five():
     for want, got in reports_beside(A2):
         assert (got.size, got.height) == (5 * want.size, want.height + 2)
         assert got.is_modular == want.is_modular and not got.is_distributive
+
+
+def test_a_disjoint_union_is_the_product_of_its_parts():
+    # the relation for any two parts: sizes multiply and heights add, the
+    # atoms are each part's atoms beside the other part's least element, and
+    # each law holds on the union exactly when it holds on both parts
+    pairs = [(builtin("an", 5), A2)] + [(builtin("product", k), A2) for k in range(1, 7)]
+    pairs += [(random_presentation(2 * s, max_indecs=5),
+               random_presentation(2 * s + 1, max_indecs=5)) for s in range(200)]
+    laws = ("is_distributive", "is_modular")
+    held = {law: set() for law in laws}
+    for seed, parts in enumerate(pairs):
+        union = disjoint_union(*parts, seed=seed)
+        lattices = [enumerate_thick(part) for part in parts]
+        reports = [analyze(lat) for lat in lattices]
+        got = analyze(enumerate_thick(union))
+        assert got.size == reports[0].size * reports[1].size
+        assert got.height == reports[0].height + reports[1].height
+        position = {name: i for i, name in enumerate(union.names)}
+
+        def moved(k, mask):
+            return mask_of(position[f"{k}.{name}"] for name in pick(parts[k].names, mask))
+
+        least = [moved(k, lat.elements[0]) for k, lat in enumerate(lattices)]
+        assert sorted(got.atoms) == sorted(moved(k, atom) | least[1 - k]
+                                           for k, report in enumerate(reports)
+                                           for atom in report.atoms)
+        for law in laws:
+            assert getattr(got, law) == all(getattr(report, law) for report in reports)
+            held[law].add(sum(getattr(report, law) for report in reports))
+    # each law held on both parts, on one, and on neither
+    assert held == {law: {0, 1, 2} for law in laws}

@@ -303,7 +303,7 @@ def test_label_and_expr_names():
     pres = builtin("a2")
     assert pres.label(0b101) == "{P1,S2}"
     assert pres.label(0) == "{}"
-    assert pres.expr_names((0, 1, 1)) == ["P1", "P2", "P2"]
+    assert list(pres.labels([0b101, 0, 0b111])) == ["{P1,S2}", "{}", "{P1,P2,S2}"]
 
 
 def blocks_by_search(pres):
@@ -409,5 +409,5 @@ def test_rule_table_seeds_cover_each_kind():
             kinds["repeated"] += any(len(set(v)) < len(v) for t in pres.triangles
                                      for v in (t.a, t.b, t.c))
             kinds["absorbing"] += pres.tensor is not None and any(
-                m & ~(1 << e) for e, m in enumerate(pres.tensor.absorption_masks))
+                row[-1][2] & ~(1 << e) for e, row in enumerate(pres.ideal_rules))
     assert min(kinds.values()) >= 20, kinds

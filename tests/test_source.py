@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import thicklat
+from unreached import statements
 
 PACKAGE = Path(thicklat.__file__).parent
 ROOT = Path(__file__).parent.parent
@@ -162,3 +163,13 @@ def test_ci_runs_the_cli_only_through_the_case_list():
     assert re.findall(r"\b(?:cmp|sha256sum)\b", code) == []
     assert re.findall(r"\S*\bthicklat\b\S*", code) == []
     assert code.count("python3 tests/run_cases.py") == 1
+
+
+def test_the_statement_report_skips_docstrings_definitions_and_imports(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Doc."""\nimport os\nx = 1\n\n\nclass C:\n    """Doc."""\n    y = 2\n\n'
+        '    def f(self):\n        """Doc."""\n        "not a docstring"\n        return os\n',
+        encoding="utf-8")
+    found = sorted((path.name, node.lineno, first) for path, node, first in statements(tmp_path))
+    assert found == [("m.py", 3, "x = 1"), ("m.py", 8, "y = 2"),
+                     ("m.py", 12, '"not a docstring"'), ("m.py", 13, "return os")]

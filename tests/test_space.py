@@ -47,7 +47,7 @@ def random_finspace(seed, max_points=12, max_generators=5):
     rng = random.Random(seed)
     n = rng.randint(0, max_points)
     gens = [rng.randrange(1 << n) for _ in range(rng.randint(0, max_generators))]
-    return FinSpace.generate([f"p{i}" for i in range(n)], gens)
+    return FinSpace([f"p{i}" for i in range(n)], gens)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -74,36 +74,40 @@ def test_finspace_is_closed_matches_materialized_family(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_finspace_is_closed_matches_materialized_family_on_direct_spaces(seed):
-    # built without generate: zeros, duplicates and bits past the points are
-    # kept, so a generator that holds such bits is no closed set of the space
+    # raw generators with zeros, repeats and bits past the points: the
+    # constructor keeps each one's part within the points, once, and no 0
     rng = random.Random(seed)
     n = rng.randint(0, 8)
     gens = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
     gens += [g | rng.randrange(1, 8) << n for g in rng.sample(gens, len(gens) // 2)]
     space = FinSpace(tuple(f"p{i}" for i in range(n)), tuple(gens + [0]))
+    assert space.generators == tuple(sorted({g & space.full_mask for g in gens} - {0}))
     family = closed_sets(space)
     for mask in range(1 << n):
         assert space.is_closed(mask) == (mask in family)
     for g in space.generators:
-        assert space.is_closed(g) == (g <= space.full_mask)
+        assert space.is_closed(g)
 
 
 def test_finspace_direct_generator_past_the_points_is_not_closed():
+    # the constructor keeps its part within the points, which is closed
     space = FinSpace(("a", "b"), (0b101,))
+    assert space.generators == (0b001,)
     assert space.is_closed(0b101) is False
-    # its part within the points is closed: the intersection with the whole space
     assert space.is_closed(0b001) is True
     assert space.is_closed(0b010) is False
 
 
-@pytest.mark.parametrize("space", [
-    FinSpace((), ()),
-    FinSpace(("a", "b", "c"), ()),
-    FinSpace.generate(["a", "b", "c"], []),
-    FinSpace(("a", "b", "c"), (0b1010,)),
-    FinSpace.generate(["a", "b", "c"], [0b001, 0b110]),
+@pytest.mark.parametrize("space, generators", [
+    (FinSpace((), ()), ()),
+    (FinSpace(("a", "b", "c"), ()), ()),
+    (FinSpace(["a", "b", "c"], []), ()),
+    (FinSpace(("a", "b", "c"), (0b1010, 0)), (0b010,)),
+    (FinSpace(["a", "b", "c"], [0b110, 0b001, 0b110]), (0b001, 0b110)),
 ], ids=["no-points", "direct-empty", "generated-empty", "direct-stray", "generated"])
-def test_finspace_empty_set_and_whole_space_are_closed(space):
+def test_finspace_empty_set_and_whole_space_are_closed(space, generators):
+    assert type(space.points) is tuple
+    assert space.generators == generators
     assert space.is_closed(0) is True
     assert space.is_closed(space.full_mask) is True
 
@@ -127,7 +131,8 @@ def test_finspace_closure_is_smallest_closed_superset(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_finspace_closure_matches_avoiding_unions_on_wide_spaces(seed):
     # up to 200 points, too many for closed_sets; some points lie in no
-    # generator, and the raw generators hold zeros and duplicates
+    # generator, and the raw generators hold zeros and duplicates, which
+    # the constructor drops
     rng = random.Random(seed)
     n = rng.randint(0, 200)
     covered = rng.getrandbits(n) | rng.getrandbits(n)
@@ -137,17 +142,18 @@ def test_finspace_closure_matches_avoiding_unions_on_wide_spaces(seed):
     points = [f"p{i}" for i in range(n)]
     full = (1 << n) - 1
     singles = [1 << x for x in rng.sample(range(n), min(n, 5))]
-    for space in (FinSpace(tuple(points), tuple(gens)), FinSpace.generate(points, gens)):
-        for mask in (0, full, full & ~covered, *singles, *space.generators,
-                     *(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(8))):
-            closed = closure_by_avoiding_union(space, mask)
-            assert space.closed_closure(mask) == closed
-            assert space.is_closed(mask) == (closed == mask)
-            assert space.is_closed(closed)
+    space = FinSpace(points, gens)
+    assert space.generators == tuple(sorted(set(gens) - {0}))
+    for mask in (0, full, full & ~covered, *singles, *space.generators,
+                 *(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(8))):
+        closed = closure_by_avoiding_union(space, mask)
+        assert space.closed_closure(mask) == closed
+        assert space.is_closed(mask) == (closed == mask)
+        assert space.is_closed(closed)
 
 
 def test_finspace_no_generators():
-    space = FinSpace.generate(["a", "b"], [])
+    space = FinSpace(["a", "b"], [])
     assert space.is_closed(0)
     assert space.is_closed(0b11)
     assert not space.is_closed(0b01)
@@ -200,13 +206,13 @@ def test_sup_union_compatible_over_objects():
 
 
 def test_empty_sigma_is_valid_anywhere():
-    space = FinSpace.generate(["u", "v"], [])
+    space = FinSpace(["u", "v"], [])
     datum = SupportDatum(space, (0, 0, 0))
     assert check_support_datum(datum, A2).valid
 
 
 def test_triangle_axiom_violation_single_point():
-    space = FinSpace.generate(["pt"], [0b1])
+    space = FinSpace(["pt"], [0b1])
     datum = SupportDatum(space, (0b1, 0, 0))  # P1 supported, P2 and S2 not
     report = check_support_datum(datum, A2)
     assert not report.valid
@@ -218,7 +224,7 @@ def test_triangle_axiom_violation_single_point():
 
 def test_closedness_violation():
     pres = Presentation(("a", "b"), ())
-    space = FinSpace.generate(["u", "v"], [])  # only {} and {u,v} closed
+    space = FinSpace(["u", "v"], [])  # only {} and {u,v} closed
     datum = SupportDatum(space, (0b01, 0))
     report = check_support_datum(datum, pres)
     assert not report.valid
@@ -227,7 +233,7 @@ def test_closedness_violation():
 
 
 def test_check_requires_total_sigma():
-    space = FinSpace.generate(["pt"], [])
+    space = FinSpace(["pt"], [])
     with pytest.raises(InvalidParameter):
         check_support_datum(SupportDatum(space, (0,)), A2)
 
@@ -262,7 +268,7 @@ def test_universal_morphism_identity_on_sp():
 
 
 def test_universal_morphism_constant_empty_sigma():
-    space = FinSpace.generate(["pt"], [])
+    space = FinSpace(["pt"], [])
     datum = SupportDatum(space, (0, 0, 0))
     f = universal_morphism(datum, A2_SP)
     assert f.mapping == (4,)  # the top subcategory
@@ -270,7 +276,7 @@ def test_universal_morphism_constant_empty_sigma():
 
 def test_universal_morphism_not_thick():
     # sigma picks out exactly {P1, P2}, which is not closed
-    space = FinSpace.generate(["pt"], [0b1])
+    space = FinSpace(["pt"], [0b1])
     datum = SupportDatum(space, (0, 0, 0b1))
     with pytest.raises(NotThick):
         universal_morphism(datum, A2_SP)
@@ -279,7 +285,7 @@ def test_universal_morphism_not_thick():
 def test_check_morphism_counterexample_named():
     # sigma constant empty, but the morphism lands on {P2}: the first
     # pullback failure in index order is at P1
-    space = FinSpace.generate(["pt"], [])
+    space = FinSpace(["pt"], [])
     datum = SupportDatum(space, (0, 0, 0))
     g = SupportMorphism((2,))  # position of {P2}
     report = check_morphism(datum, A2_SP, g)
@@ -292,7 +298,7 @@ def test_check_morphism_continuity_failure():
     # pullback holds but the datum's family is too coarse for the preimage
     pres = Presentation(("a",), ())
     sp = build_sp(enumerate_thick(pres))
-    space = FinSpace.generate(["u", "v"], [])  # {u} is not closed here
+    space = FinSpace(["u", "v"], [])  # {u} is not closed here
     datum = SupportDatum(space, (0b01,))
     g = SupportMorphism((0, 1))  # u -> {}, v -> {a}; preimage of sup(a) is {u}
     report = check_morphism(datum, sp, g)
@@ -313,7 +319,7 @@ def test_check_morphism_never_fails_continuity_on_valid_data(n):
         width = len(pulled.space.points)
         # extra closed sets make the family finer, so the supports stay closed
         extra = [rng.getrandbits(width) for _ in range(rng.randint(0, 3))]
-        space = FinSpace.generate(pulled.space.points, pulled.space.generators + tuple(extra))
+        space = FinSpace(pulled.space.points, pulled.space.generators + tuple(extra))
         datum = SupportDatum(space, pulled.sigma)
         assert check_support_datum(datum, pres).valid
         # `map` without --morphism prints this verdict as a constant
@@ -341,7 +347,7 @@ def test_morphisms_refuse_a_datum_of_another_presentation(count):
     # check_morphism, and a long one passed it or met NotThick in
     # universal_morphism
     sp = build_sp(enumerate_thick(builtin("an", 3)))
-    datum = SupportDatum(FinSpace.generate(["x0"], []), (0,) * count)
+    datum = SupportDatum(FinSpace(["x0"], []), (0,) * count)
     with pytest.raises(InvalidParameter, match=f"datum has {count} supports for 6"):
         check_support_datum(datum, sp.lattice.presentation)
     with pytest.raises(InvalidParameter, match=f"datum has {count} supports for 6"):

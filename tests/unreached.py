@@ -2,7 +2,7 @@
 
 Usage, from anywhere::
 
-    python3 tests/unreached.py [PACKAGE_PARENT]
+    python3 tests/unreached.py [--statements] [PACKAGE_PARENT]
 
 The traffic is every case of ``tests/golden/cases.json``, each argv run
 through ``thicklat.cli.main`` from the repository root with its output
@@ -17,6 +17,12 @@ that the traffic never enters prints as ``unreached: module.qualified.name``,
 unless ``EXCEPTIONS`` covers it. An exception that covers no unreached
 function prints as ``stale exception: ...``, so the list can only shrink.
 The script exits 1 when it prints anything, and 0 otherwise.
+
+``--statements`` is a report, not a gate: a line-event tracer records each
+line of the package that the same traffic runs, and every statement none of
+whose lines ran prints as ``unreached statement: file.py:LINE: source``,
+then a count. Docstrings, definitions and imports are not counted. It
+always exits 0, and runs about three times as long as the gate.
 """
 
 import ast
@@ -61,14 +67,28 @@ def definitions(package: Path) -> tuple[dict[tuple[str, int], str], set[str]]:
     return functions, classes
 
 
-def run_traffic(parent: Path) -> set:
-    """The code objects entered while the package is imported from
-    ``parent`` and the traffic runs."""
-    entered = set()
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-    def tracer(frame, event, arg):
-        entered.add(frame.f_code)  # call events only: no local tracer is returned
 
+def statements(package: Path) -> list[tuple[Path, ast.stmt, str]]:
+    """Every statement of the package but docstrings, definitions and
+    imports, with its file and its first line of source."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        docstrings = {id(node.body[0]) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, *DEFINITIONS))
+                      and ast.get_docstring(node, clean=False) is not None}
+        found += [(path, node, lines[node.lineno - 1].strip()) for node in ast.walk(tree)
+                  if isinstance(node, ast.stmt) and id(node) not in docstrings
+                  and not isinstance(node, (*DEFINITIONS, ast.Import, ast.ImportFrom))]
+    return found
+
+
+def run_traffic(parent: Path, tracer) -> None:
+    """Import the package from ``parent`` and run the traffic under ``tracer``."""
     sys.path.insert(0, str(parent))
     sys.settrace(tracer)
     try:
@@ -92,11 +112,16 @@ def run_traffic(parent: Path) -> set:
         sys.settrace(None)
     if Path(thicklat.__file__).parent.resolve() != (parent / "thicklat").resolve():
         raise SystemExit(f"error: imported thicklat from {thicklat.__file__}, not {parent}")
-    return entered
 
 
 def problems(parent: Path) -> list[str]:
-    entered = {(code.co_filename, code.co_firstlineno) for code in run_traffic(parent)}
+    entered = set()
+
+    def tracer(frame, event, arg):
+        # call events only: no local tracer is returned
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    run_traffic(parent, tracer)
     functions, classes = definitions(parent / "thicklat")
     unreached = sorted(name for key, name in functions.items() if key not in entered)
 
@@ -113,11 +138,39 @@ def problems(parent: Path) -> list[str]:
     return found
 
 
+def unreached_statements(parent: Path) -> list[str]:
+    package = parent / "thicklat"
+    files = {str(path) for path in package.glob("*.py")}
+    ran = set()
+
+    def line_tracer(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line_tracer
+
+    def tracer(frame, event, arg):
+        # trace lines only in the package's own frames, which keeps the run short
+        return line_tracer if frame.f_code.co_filename in files else None
+
+    run_traffic(parent, tracer)
+    return [f"unreached statement: {path.name}:{node.lineno}: {first}"
+            for path, node, first in sorted(statements(package), key=lambda s: (s[0], s[1].lineno))
+            if not any((str(path), line) in ran
+                       for line in range(node.lineno, node.end_lineno + 1))]
+
+
 def main() -> int:
-    parent = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "src"
-    found = problems(parent.resolve())
+    args = sys.argv[1:]
+    report = "--statements" in args
+    if report:
+        args.remove("--statements")
+    parent = (Path(args[0]) if args else ROOT / "src").resolve()
+    found = unreached_statements(parent) if report else problems(parent)
     for line in found:
         print(line)
+    if report:
+        print(f"{len(found)} unreached statements")
+        return 0
     return 1 if found else 0
 
 
