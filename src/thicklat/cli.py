@@ -37,7 +37,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .bitsets import joins, omitted, pick
+from .bitsets import joins, pick
 from .closure import count_thick, count_thick_by_blocks, enumerate_thick
 from .errors import InvalidParameter, SchemaError, ThickLatError
 from .lattice import DEFAULT_MAX_SIZE, analyze, check_size, covering_pairs, export_dot
@@ -350,7 +350,7 @@ def _cmd_map(pres: Presentation, args: argparse.Namespace) -> Output:
         report = check_morphism(datum, sp, morphism)
         targets = [sp.space.points[t] for t in morphism.mapping]
     else:
-        targets = pres.labels(omitted(datum.sigma, len(datum.space.points)))
+        targets = pres.labels(datum.images)
         # its pullbacks are the datum's supports by construction
         report = MorphismReport(True)
     status = EXIT_OK if report.ok else EXIT_INVALID

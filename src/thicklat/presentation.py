@@ -95,6 +95,22 @@ class Presentation(Value):
         return tuple((mask_of(t.a), mask_of(t.b), mask_of(t.c)) for t in self.triangles)
 
     @cached_property
+    def vertex_slots(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """Where a support datum finds the supports of the triangle vertices.
+        The slots are the indecomposables followed by the distinct vertices
+        of any other component count (sums, and the zero object); this gives
+        those vertices' component masks, and each triangle's three slots."""
+        others: dict[int, int] = {}
+
+        def slot(vertex: int) -> int:
+            if vertex and not vertex & (vertex - 1):
+                return vertex.bit_length() - 1
+            return self.size + others.setdefault(vertex, len(others))
+
+        slots = tuple([tuple(map(slot, masks)) for masks in self.triangle_masks])
+        return tuple(others), slots
+
+    @cached_property
     def rules(self) -> RuleTable:
         """The triangle rules: for every triangle vertex holding e,
         ``rules[e]`` has (rest of that vertex without e, other vertex,

@@ -6,12 +6,16 @@ assignments generate the closed-set family, every support datum maps into
 the space uniquely, and both directions of that statement are checkable
 here: axiom verification, the canonical morphism, and morphism checking.
 
-``build_sp`` and ``universal_morphism`` read one object-by-point incidence
-matrix in its two directions: supports by omission are the complemented
-transpose of the points, and the image of a point is the complemented
-transpose of the supports. Pullbacks along a point map are the same
-transpose of the mapped points, so all of them go through
-``bitsets.omitted``.
+A datum is one object-by-point incidence matrix, read in two directions:
+its supports are the rows per object, and ``SupportDatum.images``, their
+complemented transpose, the rows per point, each the objects whose support
+avoids the point. ``build_sp`` makes the supports by omission from the
+points, and ``random_support_datum`` makes them from the rows it draws and
+keeps those rows as the images, so a drawn datum pays one
+``bitsets.omitted`` transpose and no more. ``universal_morphism`` looks
+each image up among the thick subsets, and ``check_morphism`` compares the
+images with the mapped points row by row, with no transpose: a's pullback
+equals a's support exactly when no point's target and image differ at a.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from functools import cached_property, reduce
-from operator import and_, or_
+from itertools import compress, repeat
+from operator import and_, not_, or_, xor
 
 from ._value import Value
 from .bitsets import mask_of, omitted, pick, picks
 from .closure import ThickLattice
 from .errors import InvalidParameter, NotThick, SchemaError, ValidationError
-from .presentation import ObjectExpr, Presentation, _members, _parse_names, _require_keys, _values
+from .presentation import Presentation, _members, _parse_names, _require_keys, _values
 
 
 class FinSpace(Value):
@@ -84,25 +89,24 @@ class SupportDatum(Value):
     extension makes the zero object's support empty and direct sums
     additive by construction, and shift invariance holds because
     indecomposables already stand for shift orbits; only the triangle
-    axiom and closedness carry actual content to check.
+    axiom and closedness carry actual content to check. The constructor
+    masks each support to the points, as ``FinSpace`` masks its generators.
     """
 
     space: FinSpace
     sigma: tuple[int, ...]
     origin_map: tuple[int, ...] | None
 
-    def __init__(self, space: FinSpace, sigma: tuple[int, ...], *,
+    def __init__(self, space: FinSpace, sigma: Iterable[int], *,
                  origin_map: tuple[int, ...] | None = None) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", tuple(map(and_, sigma, repeat(space.full_mask))))
         object.__setattr__(self, "origin_map", origin_map)
 
-    def sigma_of(self, expr: ObjectExpr) -> int:
-        """Support of a formal sum: the union over its components."""
-        m = 0
-        for i in set(expr):
-            m |= self.sigma[i]
-        return m
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        """Per point, the mask of the indecomposables whose support avoids it."""
+        return omitted(self.sigma, len(self.space.points))
 
 
 class SupportSpace(SupportDatum):
@@ -170,20 +174,24 @@ def check_support_datum(datum: SupportDatum, pres: Presentation) -> DatumReport:
 
     The triangle containment is checked in all three rotations of every
     stored triangle, and every per-indecomposable support must be closed.
+    A rotation fails exactly where a point lies in its head's support and
+    in neither other, i.e. in exactly one of the three supports, so the
+    rotations are computed only for a triangle that has such a point.
     """
     _require_one_support_each(datum, pres)
+    sigma = datum.sigma
+    sums, slots = pres.vertex_slots
+    supports = sigma + tuple([reduce(or_, pick(sigma, m), 0) for m in sums])
     tri_violations = []
-    for t_idx, tri in enumerate(pres.triangles):
-        sa = datum.sigma_of(tri.a)
-        sb = datum.sigma_of(tri.b)
-        sc = datum.sigma_of(tri.c)
-        for rot, (head, rest) in enumerate(
-                ((sa, sb | sc), (sb, sc | sa), (sc, sa | sb))):
-            excess = head & ~rest
-            if excess:
-                tri_violations.append(TriangleViolation(t_idx, rot, excess))
-    unclosed = tuple(
-        a for a in range(pres.size) if not datum.space.is_closed(datum.sigma[a]))
+    for t_idx, (a, b, c) in enumerate(slots):
+        sa, sb, sc = supports[a], supports[b], supports[c]
+        if (sa ^ sb ^ sc) & ~(sa & sb & sc):
+            for rot, (head, rest) in enumerate(
+                    ((sa, sb | sc), (sb, sc | sa), (sc, sa | sb))):
+                excess = head & ~rest
+                if excess:
+                    tri_violations.append(TriangleViolation(t_idx, rot, excess))
+    unclosed = tuple(compress(range(pres.size), map(not_, map(datum.space.is_closed, sigma))))
     return DatumReport(tuple(tri_violations), unclosed)
 
 
@@ -214,16 +222,14 @@ def universal_morphism(datum: SupportDatum, sp: SupportSpace) -> SupportMorphism
     """
     pres = sp.lattice.presentation
     _require_one_support_each(datum, pres)
-    position = sp.lattice.position
-    mapping = []
-    for x, image in enumerate(omitted(datum.sigma, len(datum.space.points))):
-        pos = position.get(image)
-        if pos is None:
-            raise NotThick(
-                f"point {datum.space.points[x]!r} maps to {pres.label(image)}, "
-                "which is not closed under the triangle rule")
-        mapping.append(pos)
-    return SupportMorphism(tuple(mapping))
+    images = datum.images
+    mapping = tuple(map(sp.lattice.position.get, images))
+    if None in mapping:
+        x = mapping.index(None)
+        raise NotThick(
+            f"point {datum.space.points[x]!r} maps to {pres.label(images[x])}, "
+            "which is not closed under the triangle rule")
+    return SupportMorphism(mapping)
 
 
 class MorphismReport(Value):
@@ -247,21 +253,25 @@ def check_morphism(datum: SupportDatum, sp: SupportSpace,
     closed under both, so the generators decide the whole family.
     """
     _require_one_support_each(datum, sp.lattice.presentation)
-    if len(morphism.mapping) != len(datum.space.points):
+    mapping = morphism.mapping
+    if len(mapping) != len(datum.space.points):
         raise InvalidParameter("morphism must map every point of the datum's space")
     elems = sp.lattice.elements
-    for t in morphism.mapping:
-        if not 0 <= t < len(elems):
-            raise InvalidParameter(f"morphism target position {t} is out of range")
+    if mapping and not (min(mapping) >= 0 and max(mapping) < len(elems)):
+        t = next(t for t in mapping if not 0 <= t < len(elems))
+        raise InvalidParameter(f"morphism target position {t} is out of range")
     names = sp.lattice.presentation.names
-    # x lies in the preimage of sp.sigma[a] exactly when a is missing from x's target
-    pullbacks = omitted([elems[t] for t in morphism.mapping], len(names))
-    for a, pre in enumerate(pullbacks):
-        if pre != datum.sigma[a]:
-            return MorphismReport(False, pullback_failure=names[a])
-        if not datum.space.is_closed(pre):
-            return MorphismReport(
-                False, continuity_failure=f"preimage of sup({names[a]})")
+    # x lies in the pullback of sp.sigma[a] when x's target lacks a, and in
+    # datum.sigma[a] when x's image lacks a, so bit a of the OR of the
+    # targets XOR the images is set exactly when the two differ
+    differ = reduce(or_, map(xor, map(elems.__getitem__, mapping), datum.images), 0)
+    is_closed = datum.space.is_closed
+    for a, name in enumerate(names):
+        if differ >> a & 1:
+            return MorphismReport(False, pullback_failure=name)
+        # the pullback is datum.sigma[a] itself
+        if not is_closed(datum.sigma[a]):
+            return MorphismReport(False, continuity_failure=f"preimage of sup({name})")
     return MorphismReport(True)
 
 
@@ -288,10 +298,14 @@ def random_support_datum(sp: SupportSpace, num_points: int, seed: int) -> Suppor
     rng = random.Random(seed)
     elems = sp.lattice.elements
     origin = tuple(rng.randrange(len(elems)) for _ in range(num_points))
-    sigma = omitted([elems[t] for t in origin], sp.lattice.presentation.size)
+    rows = tuple(map(elems.__getitem__, origin))
+    sigma = omitted(rows, sp.lattice.presentation.size)
     points = tuple(f"x{i}" for i in range(num_points))
-    space = FinSpace(points, sigma)
-    return SupportDatum(space, sigma, origin_map=origin)
+    datum = SupportDatum(FinSpace(points, sigma), sigma, origin_map=origin)
+    # x lacks a in its row exactly when sigma[a] holds x, so the rows are
+    # the datum's images, and the draw's transpose is the datum's only one
+    vars(datum)["images"] = rows
+    return datum
 
 
 # --------------------------------------------------------------------------

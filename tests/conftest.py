@@ -37,6 +37,14 @@ def members_by_loop(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def sigma_of(datum, expr):
+    """Oracle support of a formal sum: the union over its components."""
+    m = 0
+    for i in set(expr):
+        m |= datum.sigma[i]
+    return m
+
+
 def preimage(morphism, target_mask):
     """Oracle pullback: the source points whose target lies in the mask."""
     m = 0
@@ -128,10 +136,10 @@ def tt_violations(space):
     the support of x*y is not the intersection of theirs."""
     pres = space.lattice.presentation
     table = pres.tensor
-    unit_full = space.sigma_of(members_by_loop(table.unit)) == space.space.full_mask
+    unit_full = sigma_of(space, members_by_loop(table.unit)) == space.space.full_mask
     products = tuple(
         (x, y) for x in range(pres.size) for y in range(x, pres.size)
-        if space.sigma_of(members_by_loop(table.table[x][y]))
+        if sigma_of(space, members_by_loop(table.table[x][y]))
         != space.sigma[x] & space.sigma[y])
     return check_support_datum(space, pres), unit_full, products
 

@@ -354,6 +354,16 @@ def test_blocks_of_a_disjoint_union_interleave():
         assert len({pres.names[i].partition(".")[0] for i in range(pres.size) if b >> i & 1}) == 1
 
 
+def test_vertex_slots_share_one_slot_per_distinct_vertex():
+    # P+Q+Q and the zero object get slots past the three names, each once;
+    # Q+Q is Q's own slot, as its support is Q's
+    pres = Presentation(("P", "Q", "R"), (Triangle((0, 1, 1), (), (1,)),
+                                          Triangle((1, 1), (0, 1), ()),
+                                          Triangle((2,), (), (0, 1, 1))))
+    assert pres.vertex_slots == ((0b011, 0), ((3, 4, 1), (1, 3, 4), (2, 4, 3)))
+    assert builtin("a2").vertex_slots == ((), ((0, 1, 2),))
+
+
 def rules_by_reading(pres):
     """Oracle rule tables: per element e, (vertex without e, next vertex,
     the one after) for every vertex of a stored triangle holding e, read in

@@ -5,21 +5,26 @@ import pytest
 from conftest import (
     closed_sets,
     closure_by_avoiding_union,
+    members_by_loop,
     morphism_to_document,
     preimage,
     random_presentation,
     random_tensor_presentation,
+    sigma_of,
 )
-from thicklat.bitsets import mask_of
+import thicklat.space
+from thicklat.bitsets import mask_of, omitted
 from thicklat.closure import ThickLattice, enumerate_thick
 from thicklat.errors import InvalidParameter, NotThick, ValidationError
 from thicklat.presentation import Presentation, builtin, make_expr
 from thicklat.space import (
     STRUCTURAL_AXIOMS,
+    DatumReport,
     FinSpace,
     MorphismReport,
     SupportDatum,
     SupportMorphism,
+    TriangleViolation,
     build_sp,
     check_morphism,
     check_support_datum,
@@ -168,7 +173,7 @@ def test_build_sp_a2():
     assert len(A2_SP.space.points) == 5
     assert A2_SP.sigma[0] == positions_of(A2_SP, "{}", "{P2}", "{S2}")
     assert A2_SP.sigma[0].bit_count() == 3
-    assert A2_SP.sigma_of(()) == 0  # the zero object is supported nowhere
+    assert sigma_of(A2_SP, ()) == 0  # the zero object is supported nowhere
 
 
 def test_build_sp_point():
@@ -188,17 +193,16 @@ def test_sup_union_compatible_over_objects():
     rng = random.Random(3)
     for pres in (A2, builtin("an", 3), builtin("product", 3)):
         sp = build_sp(enumerate_thick(pres))
-        sup_of = sp.sigma_of
         for _ in range(50):
             x = make_expr(rng.choices(range(pres.size), k=rng.randint(0, 3)))
             y = make_expr(rng.choices(range(pres.size), k=rng.randint(0, 3)))
-            assert sup_of(make_expr(x + y)) == sup_of(x) | sup_of(y)
+            assert sigma_of(sp, make_expr(x + y)) == sigma_of(sp, x) | sigma_of(sp, y)
             # and sup really is the omission set, object-wise
             direct = 0
             for pos, elem in enumerate(sp.lattice.elements):
                 if mask_of(x) & ~elem:
                     direct |= 1 << pos
-            assert direct == sup_of(x)
+            assert direct == sigma_of(sp, x)
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +234,55 @@ def test_closedness_violation():
     assert not report.valid
     assert report.triangle_violations == ()
     assert report.unclosed == (0,)
+
+
+def test_supports_are_masked_to_the_points():
+    # a bit past the one point lies at no point: it is dropped, so check and
+    # the universal morphism agree that every support is empty
+    datum = SupportDatum(FinSpace(["pt"], []), (0b10, 0, 0))
+    assert datum.sigma == (0, 0, 0)
+    assert check_support_datum(datum, A2).valid
+    f = universal_morphism(datum, A2_SP)
+    assert f.mapping == (4,)  # the top subcategory
+    assert check_morphism(datum, A2_SP, f).ok
+
+
+def report_by_sweep(datum, pres):
+    """Oracle datum check: all three rotations of every triangle over the
+    supports of its vertices, and closedness against the materialized family."""
+    violations = []
+    for t, tri in enumerate(pres.triangles):
+        supports = [sigma_of(datum, vertex) for vertex in (tri.a, tri.b, tri.c)]
+        for rot in range(3):
+            head, p, q = (supports[(rot + k) % 3] for k in range(3))
+            if head & ~(p | q):
+                violations.append(TriangleViolation(t, rot, head & ~(p | q)))
+    closed = closed_sets(datum.space)
+    unclosed = tuple(a for a in range(pres.size) if datum.sigma[a] not in closed)
+    return DatumReport(tuple(violations), unclosed)
+
+
+def test_check_support_datum_matches_the_rotation_sweep():
+    rng = random.Random(34)
+    kinds = {"sum": 0, "repeat": 0, "zero": 0}
+    verdicts = []
+    for seed in range(300):
+        pres = random_presentation(seed)
+        for tri in pres.triangles:
+            for vertex in (tri.a, tri.b, tri.c):
+                kinds["sum"] += len(set(vertex)) > 1
+                kinds["repeat"] += len(set(vertex)) < len(vertex)
+                kinds["zero"] += not vertex
+        width = rng.randint(0, 6)
+        points = [f"p{i}" for i in range(width)]
+        gens = [rng.getrandbits(width) for _ in range(rng.randint(0, 3))]
+        sigma = [rng.getrandbits(width) for _ in range(pres.size)]
+        datum = SupportDatum(FinSpace(points, gens), sigma)
+        report = check_support_datum(datum, pres)
+        assert report == report_by_sweep(datum, pres)
+        verdicts.append(report.valid)
+    assert min(kinds.values()) > 0
+    assert 0 < verdicts.count(True) < verdicts.count(False)
 
 
 def test_check_requires_total_sigma():
@@ -279,6 +332,14 @@ def test_universal_morphism_not_thick():
     space = FinSpace(["pt"], [0b1])
     datum = SupportDatum(space, (0, 0, 0b1))
     with pytest.raises(NotThick):
+        universal_morphism(datum, A2_SP)
+
+
+def test_universal_morphism_names_the_first_point_that_is_not_thick():
+    # u maps to {P1, P2, S2}, v and w to {P1, P2}, which is not closed
+    space = FinSpace(["u", "v", "w"], [0b110])
+    datum = SupportDatum(space, (0, 0, 0b110))
+    with pytest.raises(NotThick, match=r"^point 'v' maps to \{P1,P2\},"):
         universal_morphism(datum, A2_SP)
 
 
@@ -332,6 +393,58 @@ def test_check_morphism_never_fails_continuity_on_valid_data(n):
         assert report.continuity_failure is None
         verdicts.add(report.ok)
     assert verdicts == {True, False}
+
+
+def morphism_report_by_loop(datum, sp, morphism):
+    """Oracle morphism check: per indecomposable in index order, its
+    pullback against its support, then against the materialized family."""
+    closed = closed_sets(datum.space)
+    for a, name in enumerate(sp.lattice.presentation.names):
+        pulled = preimage(morphism, sp.sigma[a])
+        if pulled != datum.sigma[a]:
+            return MorphismReport(False, pullback_failure=name)
+        if pulled not in closed:
+            return MorphismReport(False, continuity_failure=f"preimage of sup({name})")
+    return MorphismReport(True)
+
+
+@pytest.mark.parametrize("family,n", [("a2", None), ("an", 3), ("product", 3)])
+def test_check_morphism_matches_the_pullback_loop(family, n):
+    pres = builtin(family, n)
+    sp = build_sp(enumerate_thick(pres))
+    rng = random.Random(17)
+    seen = set()
+    for seed in range(150):
+        drawn = random_support_datum(sp, rng.randint(1, 6), seed)
+        width = len(drawn.space.points)
+        if seed % 2:
+            # a family of its own, which leaves some supports unclosed
+            space = FinSpace(drawn.space.points,
+                             [rng.getrandbits(width) for _ in range(rng.randint(0, 2))])
+            datum = SupportDatum(space, drawn.sigma)
+        else:
+            datum = drawn
+        mapping = list(drawn.origin_map)
+        for x in rng.sample(range(width), rng.randint(0, min(width, 3))):
+            mapping[x] = rng.randrange(len(sp.lattice))
+        morphism = SupportMorphism(tuple(mapping))
+        report = check_morphism(datum, sp, morphism)
+        assert report == morphism_report_by_loop(datum, sp, morphism)
+        seen.add((report.ok, report.pullback_failure is None,
+                  report.continuity_failure is None))
+    # passes, pullback failures, and continuity failures before a pullback one
+    assert seen == {(True, True, True), (False, False, True), (False, True, False)}
+
+
+def test_check_morphism_reports_continuity_before_a_later_pullback_failure():
+    # sup(a) pulls back to {u}, which is not closed; b's pullback differs too
+    pres = Presentation(("a", "b"), ())
+    sp = build_sp(enumerate_thick(pres))
+    datum = SupportDatum(FinSpace(["u", "v"], []), (0b01, 0b10))
+    f = SupportMorphism((sp.space.points.index("{}"), sp.space.points.index("{a}")))
+    assert preimage(f, sp.sigma[1]) == 0b11 != datum.sigma[1]
+    assert morphism_report_by_loop(datum, sp, f) == check_morphism(datum, sp, f)
+    assert check_morphism(datum, sp, f).continuity_failure == "preimage of sup(a)"
 
 
 def test_check_morphism_validates_shape():
@@ -433,6 +546,57 @@ def test_round_trip_never_builds_point_closures(n):
             assert "_point_closures" not in vars(datum.space)
             empty += datum.sigma.count(0)
     assert empty > 0
+
+
+def test_a_drawn_round_trip_makes_one_transpose(monkeypatch):
+    # the benchmark's round trip on an:6: the draw transposes its rows into
+    # the supports, and everything after reads the rows it kept; a
+    # deterministic work gate, no clock involved
+    pres = builtin("an", 6)
+    sp = build_sp(enumerate_thick(pres))
+    elems = sp.lattice.elements
+    calls = {"omitted": 0, "is_closed": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(thicklat.space, "omitted", counted("omitted", omitted))
+    monkeypatch.setattr(FinSpace, "is_closed", counted("is_closed", FinSpace.is_closed))
+    rng = random.Random(5)
+    datum = random_support_datum(sp, 64, 5)
+    assert check_support_datum(datum, pres).valid
+    f = universal_morphism(datum, sp)
+    assert f.mapping == datum.origin_map
+    assert check_morphism(datum, sp, f).ok
+    mapping = list(f.mapping)
+    x = rng.randrange(64)
+    mapping[x] = (mapping[x] + 1 + rng.randrange(len(elems) - 1)) % len(elems)
+    mutated = SupportMorphism(tuple(mapping))
+    report = check_morphism(datum, sp, mutated)
+    assert calls["omitted"] == 1
+    # one per support in the datum check and the valid map check, and one
+    # per support before the mutated map's first pullback failure
+    failed = pres.names.index(report.pullback_failure)
+    assert failed == next(a for a in range(pres.size)
+                          if preimage(mutated, sp.sigma[a]) != datum.sigma[a])
+    assert calls["is_closed"] == 2 * pres.size + failed
+
+
+@pytest.mark.parametrize("family,n", [("a2", None), ("an", 4), ("product", 3)])
+def test_drawn_images_are_the_transpose_of_the_supports(family, n):
+    sp = build_sp(enumerate_thick(builtin(family, n)))
+    for seed in range(20):
+        drawn = random_support_datum(sp, seed % 9, seed)
+        width = len(drawn.space.points)
+        assert drawn.images == omitted(drawn.sigma, width)
+        assert drawn.images == SupportDatum(drawn.space, drawn.sigma).images
+        # each point's image holds a exactly when sigma[a] misses the point
+        for x, image in enumerate(drawn.images):
+            assert members_by_loop(image) == [a for a, s in enumerate(drawn.sigma)
+                                              if not s >> x & 1]
 
 
 def test_explicit_closed_sets_still_report_unclosed_supports():

@@ -15,6 +15,7 @@ from conftest import (
     preimage,
     primes_by_sweep,
     random_tensor_presentation,
+    sigma_of,
     tt_violations,
 )
 from thicklat.bitsets import canonical_key, mask_of, pick
@@ -182,7 +183,7 @@ def test_supp_turns_products_into_intersections():
         spectrum = primes(pres)
         for x in range(pres.size):
             for y in range(pres.size):
-                got = spectrum.sigma_of(members_by_loop(pres.tensor.table[x][y]))
+                got = sigma_of(spectrum, members_by_loop(pres.tensor.table[x][y]))
                 assert got == spectrum.sigma[x] & spectrum.sigma[y]
 
 

@@ -155,6 +155,8 @@ def test_no_attribute_can_be_added(cls):
     (builtin("an", 3), "forced"),
     (enumerate_thick(builtin("an", 3)), "position"),
     (FinSpace(("x", "y"), (1,)), "_point_closures"),
+    (SupportDatum(SPACE, (1, 2)), "images"),
+    (builtin("an", 3), "vertex_slots"),
 ])
 def test_cached_properties_are_cached(value, name):
     assert name not in vars(value)
